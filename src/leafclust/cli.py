@@ -88,17 +88,11 @@ class Options:
 def _kinds_for(name: str, r: int) -> list[DistanceKind]:
     if r < 1:
         raise StageError("config", f"moment order r must be >= 1, got {r}", 1)
-    if name == "all":
-        return [DistanceKind(tag, r) for tag in DistanceTag]
-    tag = {
-        "l1": DistanceTag.L1,
-        "sup": DistanceTag.SUP,
-        "hellinger": DistanceTag.HELLINGER_SQ,
-        "moments": DistanceTag.MOMENT_EUCLIDEAN,
-    }.get(name)
-    if tag is None:
-        raise StageError("config", f"unknown distance {name!r}", 1)
-    return [DistanceKind(tag, r)]
+    try:
+        tags = list(DistanceTag) if name == "all" else [DistanceTag(name)]
+    except ValueError:
+        raise StageError("config", f"unknown distance {name!r}", 1) from None
+    return [DistanceKind(tag, r) for tag in tags]
 
 
 def _load_dataset(opts: Options) -> dataio.Dataset:
@@ -168,11 +162,10 @@ def _densities_for_distmat(opts: Options):
     return _normalize_all(_load_dataset(opts))
 
 
-def cmd_distmat(args: argparse.Namespace) -> int:
-    opts = Options(args, dict(format="csv", distance="all", r=5, outdir="out"))
-    densities = _densities_for_distmat(opts)
+def _distance_stage(opts: Options, densities, out: Path):
+    """Compute and write (CSV and JSON) one matrix per requested kind."""
     labels = [d.source_id for d in densities]
-    out = _outdir(opts)
+    matrices = []
     for kind in _kinds_for(opts.get("distance"), int(opts.get("r"))):
         try:
             dm = distance_matrix(densities, labels, kind)
@@ -182,6 +175,14 @@ def cmd_distmat(args: argparse.Namespace) -> int:
             path = out / f"matrix_{kind.name}.{fmt}"
             dataio.write_matrix(dm, path, fmt)
             _wrote(path)
+        matrices.append(dm)
+    return matrices
+
+
+def cmd_distmat(args: argparse.Namespace) -> int:
+    opts = Options(args, dict(format="csv", distance="all", r=5, outdir="out"))
+    densities = _densities_for_distmat(opts)
+    _distance_stage(opts, densities, _outdir(opts))
     return 0
 
 
@@ -240,9 +241,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _plot_dataset(dataset: dataio.Dataset, out: Path) -> None:
+    normalized = _normalize_all(dataset)
     try:
         raw = [density_from_ccd(seq) for seq in dataset.sequences]
-        normalized = [normalize_leaf(seq) for seq in dataset.sequences]
         flat = [leaf_outline(seq) for seq in dataset.sequences]
         turned = [leaf_outline(seq, rotated=True) for seq in dataset.sequences]
     except InvalidCcdError as exc:
@@ -269,21 +270,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     dataset = _load_dataset(opts)
     out = _outdir(opts)
     densities = _normalize_all(dataset)
-    labels = [d.source_id for d in densities]
-    for kind in _kinds_for(opts.get("distance"), int(opts.get("r"))):
-        try:
-            dm = distance_matrix(densities, labels, kind)
-        except ValueError as exc:
-            raise StageError(f"distances-{kind.name}", str(exc), 2) from exc
-        for fmt in ("csv", "json"):
-            path = out / f"matrix_{kind.name}.{fmt}"
-            dataio.write_matrix(dm, path, fmt)
-            _wrote(path)
-        dend = _cluster_one(dm, opts.get("linkage"))
-        _write_tree(dend, out, f"dendrogram_{kind.name}", opts)
+    linkage = opts.get("linkage")
+    for dm in _distance_stage(opts, densities, out):
+        name = dm.kind.name
+        dend = _cluster_one(dm, linkage)
+        _write_tree(dend, out, f"dendrogram_{name}", opts)
         if not opts.get("no_plots"):
-            path = out / f"dendrogram_{kind.name}.svg"
-            svgplot.plot_dendrogram(dend, path, title=f"complete linkage, {kind.name}")
+            path = out / f"dendrogram_{name}.svg"
+            svgplot.plot_dendrogram(dend, path, title=f"{linkage} linkage, {name}")
             _wrote(path)
     if not opts.get("no_plots"):
         _plot_dataset(dataset, out)

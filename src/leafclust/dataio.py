@@ -144,11 +144,7 @@ def _write_dataset_csv(dataset: Dataset, path: Path) -> None:
 
 
 def _read_dataset_json(path: Path) -> Dataset:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
     groups = None
@@ -182,6 +178,14 @@ def _write_dataset_json(dataset: Dataset, path: Path) -> None:
     if dataset.groups is not None:
         doc["groups"] = {i: dataset.groups[i] for i in dataset.ids if i in dataset.groups}
     _dump_json(doc, path)
+
+
+def _load_json(path: Path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _dump_json(doc, path: Path) -> None:
@@ -238,11 +242,7 @@ def read_matrix(path, fmt: str = "csv", kind: DistanceKind | None = None) -> Dis
                 raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
         return DistanceMatrix(tuple(labels), entries, kind or DistanceKind("l1"))
     if fmt == "json":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+        doc = _load_json(path)
         try:
             file_kind = DistanceKind(doc["kind"]["tag"], doc["kind"]["moment_order"])
             return DistanceMatrix(
@@ -271,11 +271,7 @@ def write_dendrogram(dend: Dendrogram, path) -> None:
 
 def read_dendrogram(path) -> Dendrogram:
     path = Path(path)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    doc = _load_json(path)
     try:
         merges = tuple(
             Merge(int(r["left"]), int(r["right"]), float(r["height"]), int(r["size"]))
@@ -320,11 +316,7 @@ def write_densities(densities, path) -> None:
 
 def read_densities(path) -> list[StepDensity]:
     path = Path(path)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    doc = _load_json(path)
     try:
         return [
             StepDensity(

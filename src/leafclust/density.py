@@ -211,15 +211,13 @@ def trig_moments(d: StepDensity, r: int) -> TrigMoments:
     """
     if r < 1:
         raise InvalidCcdError("moment order r must be >= 1")
-    pairs = np.empty((r, 2))
-    b = d.breakpoints
+    p = np.arange(1, r + 1)
+    pb = p[:, None] * d.breakpoints  # row p-1 holds p * t_k
+    sin_b, cos_b = np.sin(pb), np.cos(pb)
     h = d.heights
-    for p in range(1, r + 1):
-        sin_b = np.sin(p * b)
-        cos_b = np.cos(p * b)
-        pairs[p - 1, 0] = np.sum(h * (sin_b[1:] - sin_b[:-1])) / p
-        pairs[p - 1, 1] = np.sum(h * (cos_b[:-1] - cos_b[1:])) / p
-    return TrigMoments(r, pairs)
+    alpha = np.sum(h * (sin_b[:, 1:] - sin_b[:, :-1]), axis=-1) / p
+    beta = np.sum(h * (cos_b[:, :-1] - cos_b[:, 1:]), axis=-1) / p
+    return TrigMoments(r, np.column_stack((alpha, beta)))
 
 
 def _angle_in_two_pi(beta: float, alpha: float) -> float:

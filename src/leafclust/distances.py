@@ -2,8 +2,10 @@
 
 All integral distances are evaluated exactly: two step densities are
 refined onto the union of their breakpoints, where both are constant on
-every interval, so the integrals reduce to finite sums.  A grid-based
-approximation exists only as a cross-check in the test suite.
+every interval, so each integral reduces to a finite sum over that one
+refinement.  The moment distance compares closed-form trigonometric moment
+vectors, computed once per density.  A grid-based approximation exists
+only as a cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .density import TWO_PI, StepDensity, trig_moments
+from .density import StepDensity, trig_moments
 
 
 class DistanceTag(str, Enum):
@@ -89,16 +91,38 @@ def merge_breakpoints(f: StepDensity, g: StepDensity):
     return breaks, fh, gh
 
 
+# Reducers of the common refinement, one per integral distance.
+_REDUCERS = {
+    DistanceTag.L1: lambda breaks, fh, gh: np.sum(np.abs(fh - gh) * np.diff(breaks)),
+    DistanceTag.SUP: lambda breaks, fh, gh: np.max(np.abs(fh - gh)),
+    DistanceTag.HELLINGER_SQ: lambda breaks, fh, gh: np.sum(
+        (np.sqrt(fh) - np.sqrt(gh)) ** 2 * np.diff(breaks)),
+}
+
+
+def _refined(reduce):
+    """Pair distance: merge the two breakpoint sets once, then reduce."""
+    return lambda f, g: float(reduce(*merge_breakpoints(f, g)))
+
+
+# Each tag maps to (per-density preparation, distance between two prepared
+# densities): the integral distances work on the densities themselves, the
+# moment distance on each density's moment vector.
+_KERNELS = {tag: (lambda d, r: d, _refined(reduce)) for tag, reduce in _REDUCERS.items()}
+_KERNELS[DistanceTag.MOMENT_EUCLIDEAN] = (
+    lambda d, r: trig_moments(d, r).as_vector(),
+    lambda mf, mg: float(np.linalg.norm(mf - mg)),
+)
+
+
 def dist_l1(f: StepDensity, g: StepDensity) -> float:
     """D1: integral of |f - g| over the circle.  Lies in [0, 2]."""
-    breaks, fh, gh = merge_breakpoints(f, g)
-    return float(np.sum(np.abs(fh - gh) * np.diff(breaks)))
+    return pair_distance(f, g, DistanceKind(DistanceTag.L1))
 
 
 def dist_sup(f: StepDensity, g: StepDensity) -> float:
     """D2: sup of |f - g|; step functions attain it on interval interiors."""
-    _, fh, gh = merge_breakpoints(f, g)
-    return float(np.max(np.abs(fh - gh)))
+    return pair_distance(f, g, DistanceKind(DistanceTag.SUP))
 
 
 def dist_hellinger_sq(f: StepDensity, g: StepDensity) -> float:
@@ -108,50 +132,32 @@ def dist_hellinger_sq(f: StepDensity, g: StepDensity) -> float:
     it ranges over [0, 2] and is not guaranteed to satisfy the triangle
     inequality.
     """
-    breaks, fh, gh = merge_breakpoints(f, g)
-    return float(np.sum((np.sqrt(fh) - np.sqrt(gh)) ** 2 * np.diff(breaks)))
+    return pair_distance(f, g, DistanceKind(DistanceTag.HELLINGER_SQ))
 
 
 def dist_moment_euclidean(f: StepDensity, g: StepDensity, r: int = 5) -> float:
     """D4: Euclidean distance between the first 2r trigonometric moments."""
-    if r < 1:
-        raise ValueError("moment order r must be >= 1")
-    mf = trig_moments(f, r).as_vector()
-    mg = trig_moments(g, r).as_vector()
-    return float(np.linalg.norm(mf - mg))
+    return pair_distance(f, g, DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, r))
 
 
 def pair_distance(f: StepDensity, g: StepDensity, kind: DistanceKind) -> float:
     """Distance between two densities under the selected kind."""
-    if kind.tag is DistanceTag.L1:
-        return dist_l1(f, g)
-    if kind.tag is DistanceTag.SUP:
-        return dist_sup(f, g)
-    if kind.tag is DistanceTag.HELLINGER_SQ:
-        return dist_hellinger_sq(f, g)
-    return dist_moment_euclidean(f, g, kind.moment_order)
+    prepare, pair = _KERNELS[kind.tag]
+    return pair(prepare(f, kind.moment_order), prepare(g, kind.moment_order))
 
 
 def distance_matrix(densities, labels, kind: DistanceKind) -> DistanceMatrix:
     """All-pairs distance matrix over a list of densities.
 
-    Each unordered pair is computed once and mirrored, which makes the
-    matrix exactly symmetric.  Labels must be unique and match the number
-    of densities.
+    Per-density work (the moment vectors) is done once per density.  Each
+    unordered pair is then computed once and mirrored, which makes the
+    matrix exactly symmetric.  ``DistanceMatrix`` checks the labels.
     """
-    densities = list(densities)
-    labels = tuple(labels)
-    m = len(densities)
-    if len(labels) != m:
-        raise ValueError("labels must match the number of densities")
-    if len(set(labels)) != m:
-        raise ValueError("duplicate labels")
-    if m < 2:
-        raise ValueError("need at least 2 densities")
+    prepare, pair = _KERNELS[kind.tag]
+    items = [prepare(d, kind.moment_order) for d in densities]
+    m = len(items)
     entries = np.zeros((m, m))
     for i in range(m):
         for k in range(i + 1, m):
-            dist = pair_distance(densities[i], densities[k], kind)
-            entries[i, k] = dist
-            entries[k, i] = dist
-    return DistanceMatrix(labels, entries, kind)
+            entries[i, k] = entries[k, i] = pair(items[i], items[k])
+    return DistanceMatrix(tuple(labels), entries, kind)

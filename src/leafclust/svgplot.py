@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import TWO_PI, LeafOutline, StepDensity
-from .hcluster import Dendrogram, leaf_order
+from .hcluster import Dendrogram, _format_length as _num, leaf_order
 
 PALETTE = (
     "#1b6ca8", "#d1495b", "#66a182", "#edae49",
@@ -27,11 +27,6 @@ PALETTE = (
 DASHES = ("none", "7,3", "2,2", "8,3,2,3", "12,3", "4,2,1,2")
 
 _FONT = 'font-family="sans-serif"'
-
-
-def _num(x: float) -> str:
-    out = repr(float(x))
-    return out[:-2] if out.endswith(".0") else out
 
 
 def _esc(text: str) -> str:

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: moments
 and integral distances are re-derived by midpoint quadrature on a fine
-grid, clustering by a plain-Python agglomerative loop over member lists,
+grid and, exactly, by a per-pair copy of the earlier distance code,
+clustering by a plain-Python agglomerative loop over member lists,
 and Newick strings by a tiny recursive-descent parser.
 """
 
@@ -113,6 +114,71 @@ def grid_hellinger_sq(f: StepDensity, g: StepDensity, panels=PANELS) -> float:
 def grid_sup(f: StepDensity, g: StepDensity, panels=PANELS) -> float:
     mids = quadrature_midpoints(panels)
     return float(np.max(np.abs(f.evaluate(mids) - g.evaluate(mids))))
+
+
+# ---------------------------------------------------------------------------
+# per-pair distance reference
+#
+# Exact per-pair reference: one breakpoint merge per pair and distance, and
+# both densities' moments recomputed for every pair, one order p at a time.
+# The arithmetic matches the library's kernels, so results must be equal.
+
+def merge_breakpoints(f: StepDensity, g: StepDensity):
+    breaks = np.union1d(f.breakpoints, g.breakpoints)
+    right = breaks[1:]
+    fh = f.heights[np.searchsorted(f.breakpoints, right, side="left") - 1]
+    gh = g.heights[np.searchsorted(g.breakpoints, right, side="left") - 1]
+    return breaks, fh, gh
+
+
+def trig_moments_loop(d: StepDensity, r: int) -> np.ndarray:
+    """Moment pairs of orders 1..r, one p at a time; shape (r, 2)."""
+    pairs = np.empty((r, 2))
+    b = d.breakpoints
+    h = d.heights
+    for p in range(1, r + 1):
+        sin_b = np.sin(p * b)
+        cos_b = np.cos(p * b)
+        pairs[p - 1, 0] = np.sum(h * (sin_b[1:] - sin_b[:-1])) / p
+        pairs[p - 1, 1] = np.sum(h * (cos_b[:-1] - cos_b[1:])) / p
+    return pairs
+
+
+def dist_l1(f: StepDensity, g: StepDensity) -> float:
+    breaks, fh, gh = merge_breakpoints(f, g)
+    return float(np.sum(np.abs(fh - gh) * np.diff(breaks)))
+
+
+def dist_sup(f: StepDensity, g: StepDensity) -> float:
+    _, fh, gh = merge_breakpoints(f, g)
+    return float(np.max(np.abs(fh - gh)))
+
+
+def dist_hellinger_sq(f: StepDensity, g: StepDensity) -> float:
+    breaks, fh, gh = merge_breakpoints(f, g)
+    return float(np.sum((np.sqrt(fh) - np.sqrt(gh)) ** 2 * np.diff(breaks)))
+
+
+def dist_moment_euclidean(f: StepDensity, g: StepDensity, r: int = 5) -> float:
+    mf = trig_moments_loop(f, r).reshape(-1)
+    mg = trig_moments_loop(g, r).reshape(-1)
+    return float(np.linalg.norm(mf - mg))
+
+
+def pairwise_matrix(densities, tag: str, r: int) -> np.ndarray:
+    """All-pairs matrix from the per-pair reference, upper triangle mirrored."""
+    dist = {
+        "l1": dist_l1,
+        "sup": dist_sup,
+        "hellinger": dist_hellinger_sq,
+        "moments": lambda f, g: dist_moment_euclidean(f, g, r),
+    }[tag]
+    m = len(densities)
+    out = np.zeros((m, m))
+    for i in range(m):
+        for k in range(i + 1, m):
+            out[i, k] = out[k, i] = dist(densities[i], densities[k])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,14 @@ class TestPipelineCommand:
         assert run("pipeline", "--input", two_leaf_csv, "--distance", "l1",
                    "--cut", 9, "--outdir", tmp_path / "out", "--no-plots") == 2
 
+    def test_dendrogram_title_names_the_linkage(self, four_leaf_json, tmp_path):
+        out = tmp_path / "out"
+        assert run("pipeline", "--input", four_leaf_json, "--format", "json",
+                   "--distance", "l1", "--linkage", "single", "--outdir", out) == 0
+        svg = (out / "dendrogram_l1.svg").read_text()
+        assert "single linkage" in svg
+        assert "complete linkage" not in svg
+
     def test_byte_identical_reruns(self, four_leaf_json, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):

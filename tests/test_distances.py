@@ -17,8 +17,11 @@ from leafclust import (
     dist_sup,
     distance_matrix,
     merge_breakpoints,
+    normalize_leaf,
     pair_distance,
     rotate_density,
+    synth_dataset,
+    trig_moments,
 )
 
 UNIFORM = density_from_ccd(CcdSequence("u", np.ones(4)))
@@ -199,6 +202,31 @@ class TestDistanceMatrix:
         bad = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
             DistanceMatrix(("a", "b"), bad, ALL_KINDS[0])
+
+
+class TestPerPairOracle:
+    """The matrix kernels against a verbatim copy of the per-pair code."""
+
+    @staticmethod
+    def _normalized(seed):
+        dataset = synth_dataset(2, 3, (50, 400), 0.02, seed)
+        return [normalize_leaf(seq) for seq in dataset.sequences]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("r", [1, 5])
+    @pytest.mark.parametrize("tag", list(DistanceTag), ids=lambda t: t.value)
+    def test_matrix_equals_per_pair_code(self, tag, r, seed):
+        densities = self._normalized(seed)
+        labels = [d.source_id for d in densities]
+        dm = distance_matrix(densities, labels, DistanceKind(tag, r))
+        np.testing.assert_array_equal(
+            dm.entries, helpers.pairwise_matrix(densities, tag.value, r))
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 10])
+    def test_trig_moments_equal_per_order_loop(self, r):
+        for d in self._normalized(3):
+            np.testing.assert_array_equal(trig_moments(d, r).pairs,
+                                          helpers.trig_moments_loop(d, r))
 
 
 def test_kind_requires_positive_moment_order():
