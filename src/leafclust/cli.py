@@ -10,16 +10,37 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import dataio, svgplot, synth
-from .density import InvalidCcdError, density_from_ccd, leaf_outline, normalize_leaf
+from .density import density_from_ccd, leaf_outline, normalize_leaf
 from .distances import DistanceKind, DistanceTag, distance_matrix
 from .hcluster import Dendrogram, Linkage, agglomerate, cut, to_newick
 
-DISTANCE_CHOICES = ("l1", "sup", "hellinger", "moments", "all")
+DISTANCE_CHOICES = tuple(tag.value for tag in DistanceTag) + ("all",)
 
-_INPUT_ERRORS = (OSError, dataio.DataFormatError, InvalidCcdError, ValueError)
+# name -> (default, argparse keywords of its --flag); flags override a
+# config file, which overrides the default.
+_OPTIONS = {
+    "input": (None, dict(help="input file")),
+    "format": ("csv", dict(choices=("csv", "json", "densities"), help="input format")),
+    "distance": ("all", dict(choices=DISTANCE_CHOICES, help="distance kind")),
+    "r": (5, dict(type=int, help="moment order for the moments distance")),
+    "linkage": ("complete", dict(choices=tuple(l.value for l in Linkage), help="linkage rule")),
+    "cut": (None, dict(type=int, help="extract this many flat clusters")),
+    "outdir": ("out", dict(help="output directory")),
+    "dendrogram": (None, dict(help="dendrogram JSON to plot")),
+    "no_plots": (None, dict(action="store_const", const=True, help="skip SVG output")),
+    "seed": (0, dict(type=int, help="random seed")),
+    "groups": (4, dict(type=int, help="number of groups")),
+    "per_group": (5, dict(type=int, help="leaves per group")),
+    "n_min": (500, dict(type=int, help="minimum trace resolution")),
+    "n_max": (4000, dict(type=int, help="maximum trace resolution")),
+    "noise": (0.02, dict(type=float, help="multiplicative noise level")),
+    "output": ("synthetic.json", dict(help="output file")),
+    "config": (None, dict(help="key=value config file (flags override it)")),
+}
 
 
 class StageError(Exception):
@@ -31,12 +52,19 @@ class StageError(Exception):
         self.code = code
 
 
+@contextmanager
+def _stage(name: str, code: int):
+    """Report an OSError or ValueError raised inside as a failure of stage ``name``."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise StageError(name, str(exc), code) from exc
+
+
 def _read_config(path: str) -> dict:
     values: dict = {}
-    try:
+    with _stage("config", 1):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise StageError("config", str(exc), 1) from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -65,18 +93,17 @@ def _coerce(value: str):
 class Options:
     """Flag > config-file > default resolution for one subcommand run."""
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
+    def __init__(self, args: argparse.Namespace):
         self._flags = {k: v for k, v in vars(args).items() if v is not None}
         config_path = self._flags.get("config")
         self._config = _read_config(config_path) if config_path else {}
-        self._defaults = defaults
 
     def get(self, key: str):
         if key in self._flags:
             return self._flags[key]
         if key in self._config:
             return self._config[key]
-        return self._defaults.get(key)
+        return _OPTIONS[key][0]
 
     def require(self, key: str):
         value = self.get(key)
@@ -88,27 +115,22 @@ class Options:
 def _kinds_for(name: str, r: int) -> list[DistanceKind]:
     if r < 1:
         raise StageError("config", f"moment order r must be >= 1, got {r}", 1)
-    try:
-        tags = list(DistanceTag) if name == "all" else [DistanceTag(name)]
-    except ValueError:
-        raise StageError("config", f"unknown distance {name!r}", 1) from None
+    if name not in DISTANCE_CHOICES:
+        raise StageError("config", f"unknown distance {name!r}", 1)
+    tags = list(DistanceTag) if name == "all" else [DistanceTag(name)]
     return [DistanceKind(tag, r) for tag in tags]
 
 
 def _load_dataset(opts: Options) -> dataio.Dataset:
     path = opts.require("input")
     fmt = opts.get("format")
-    try:
+    with _stage("read-dataset", 1):
         return dataio.read_dataset(path, fmt)
-    except _INPUT_ERRORS as exc:
-        raise StageError("read-dataset", str(exc), 1) from exc
 
 
 def _normalize_all(dataset: dataio.Dataset):
-    try:
+    with _stage("normalize", 2):
         return [normalize_leaf(seq) for seq in dataset.sequences]
-    except InvalidCcdError as exc:
-        raise StageError("normalize", str(exc), 2) from exc
 
 
 def _outdir(opts: Options) -> Path:
@@ -125,25 +147,20 @@ def _wrote(path: Path) -> None:
 # subcommands
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    opts = Options(args, dict(groups=4, per_group=5, n_min=500, n_max=4000,
-                              noise=0.02, seed=0, output="synthetic.json"))
-    try:
+def cmd_synth(opts: Options) -> int:
+    with _stage("synth", 1):
         dataset = synth.synth_dataset(
             int(opts.get("groups")), int(opts.get("per_group")),
             (int(opts.get("n_min")), int(opts.get("n_max"))),
             float(opts.get("noise")), int(opts.get("seed")),
         )
-    except ValueError as exc:
-        raise StageError("synth", str(exc), 1) from exc
     out = Path(opts.get("output"))
     dataio.write_dataset(dataset, out, fmt="json")
     _wrote(out)
     return 0
 
 
-def cmd_densify(args: argparse.Namespace) -> int:
-    opts = Options(args, dict(format="csv", outdir="out"))
+def cmd_densify(opts: Options) -> int:
     dataset = _load_dataset(opts)
     densities = _normalize_all(dataset)
     out = _outdir(opts) / "densities.json"
@@ -155,10 +172,9 @@ def cmd_densify(args: argparse.Namespace) -> int:
 def _densities_for_distmat(opts: Options):
     fmt = opts.get("format")
     if fmt == "densities":
-        try:
-            return dataio.read_densities(opts.require("input"))
-        except _INPUT_ERRORS as exc:
-            raise StageError("read-densities", str(exc), 1) from exc
+        path = opts.require("input")
+        with _stage("read-densities", 1):
+            return dataio.read_densities(path)
     return _normalize_all(_load_dataset(opts))
 
 
@@ -167,10 +183,8 @@ def _distance_stage(opts: Options, densities, out: Path):
     labels = [d.source_id for d in densities]
     matrices = []
     for kind in _kinds_for(opts.get("distance"), int(opts.get("r"))):
-        try:
+        with _stage(f"distances-{kind.name}", 2):
             dm = distance_matrix(densities, labels, kind)
-        except ValueError as exc:
-            raise StageError(f"distances-{kind.name}", str(exc), 2) from exc
         for fmt in ("csv", "json"):
             path = out / f"matrix_{kind.name}.{fmt}"
             dataio.write_matrix(dm, path, fmt)
@@ -179,19 +193,16 @@ def _distance_stage(opts: Options, densities, out: Path):
     return matrices
 
 
-def cmd_distmat(args: argparse.Namespace) -> int:
-    opts = Options(args, dict(format="csv", distance="all", r=5, outdir="out"))
+def cmd_distmat(opts: Options) -> int:
     densities = _densities_for_distmat(opts)
     _distance_stage(opts, densities, _outdir(opts))
     return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    opts = Options(args, dict(format="csv", linkage="complete", outdir="out"))
-    try:
-        dm = dataio.read_matrix(opts.require("input"), opts.get("format"))
-    except _INPUT_ERRORS as exc:
-        raise StageError("read-matrix", str(exc), 1) from exc
+def cmd_cluster(opts: Options) -> int:
+    path = opts.require("input")
+    with _stage("read-matrix", 1):
+        dm = dataio.read_matrix(path, opts.get("format"))
     out = _outdir(opts)
     dend = _cluster_one(dm, opts.get("linkage"))
     _write_tree(dend, out, "dendrogram", opts)
@@ -199,10 +210,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cluster_one(dm, linkage_name: str) -> Dendrogram:
-    try:
+    with _stage("cluster", 2):
         return agglomerate(dm, Linkage(linkage_name))
-    except ValueError as exc:
-        raise StageError("cluster", str(exc), 2) from exc
 
 
 def _write_tree(dend: Dendrogram, out: Path, stem: str, opts: Options) -> None:
@@ -214,26 +223,21 @@ def _write_tree(dend: Dendrogram, out: Path, stem: str, opts: Options) -> None:
     _wrote(nwk_path)
     k = opts.get("cut")
     if k is not None:
-        try:
+        with _stage("cut", 2):
             assignment = cut(dend, int(k))
-        except ValueError as exc:
-            raise StageError("cut", str(exc), 2) from exc
         clusters_path = out / f"{stem.replace('dendrogram', 'clusters')}.json"
         dataio.write_clusters(dend.labels, assignment, int(k), clusters_path)
         _wrote(clusters_path)
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
-    opts = Options(args, dict(format="csv", outdir="out"))
+def cmd_plot(opts: Options) -> int:
     dataset = _load_dataset(opts)
     out = _outdir(opts)
     _plot_dataset(dataset, out)
     dend_path = opts.get("dendrogram")
     if dend_path is not None:
-        try:
+        with _stage("read-dendrogram", 1):
             dend = dataio.read_dendrogram(dend_path)
-        except _INPUT_ERRORS as exc:
-            raise StageError("read-dendrogram", str(exc), 1) from exc
         path = out / "dendrogram.svg"
         svgplot.plot_dendrogram(dend, path)
         _wrote(path)
@@ -242,12 +246,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def _plot_dataset(dataset: dataio.Dataset, out: Path) -> None:
     normalized = _normalize_all(dataset)
-    try:
+    with _stage("plot", 2):
         raw = [density_from_ccd(seq) for seq in dataset.sequences]
         flat = [leaf_outline(seq) for seq in dataset.sequences]
         turned = [leaf_outline(seq, rotated=True) for seq in dataset.sequences]
-    except InvalidCcdError as exc:
-        raise StageError("plot", str(exc), 2) from exc
     for name, densities, title in (
         ("densities_unrotated.svg", raw, "circular densities (unrotated)"),
         ("densities_normalized.svg", normalized, "circular densities (normalized)"),
@@ -264,9 +266,7 @@ def _plot_dataset(dataset: dataio.Dataset, out: Path) -> None:
         _wrote(path)
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    opts = Options(args, dict(format="csv", distance="all", r=5,
-                              linkage="complete", outdir="out"))
+def cmd_pipeline(opts: Options) -> int:
     dataset = _load_dataset(opts)
     out = _outdir(opts)
     densities = _normalize_all(dataset)
@@ -289,26 +289,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "input": dict(help="input file"),
-        "format": dict(choices=("csv", "json", "densities"), help="input format"),
-        "distance": dict(choices=DISTANCE_CHOICES, help="distance kind"),
-        "r": dict(type=int, help="moment order for the moments distance"),
-        "linkage": dict(choices=tuple(l.value for l in Linkage), help="linkage rule"),
-        "cut": dict(type=int, help="extract this many flat clusters"),
-        "outdir": dict(help="output directory"),
-        "dendrogram": dict(help="dendrogram JSON to plot"),
-        "seed": dict(type=int, help="random seed"),
-        "groups": dict(type=int, help="number of groups"),
-        "per-group": dict(type=int, help="leaves per group"),
-        "n-min": dict(type=int, help="minimum trace resolution"),
-        "n-max": dict(type=int, help="maximum trace resolution"),
-        "noise": dict(type=float, help="multiplicative noise level"),
-        "output": dict(help="output file"),
-    }
-    for name in names:
-        sub.add_argument(f"--{name}", **flags[name])
-    sub.add_argument("--config", help="key=value config file (flags override it)")
+    for name in names + ("config",):
+        sub.add_argument(f"--{name.replace('_', '-')}", **_OPTIONS[name][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    _add_common(p, "groups", "per-group", "n-min", "n-max", "noise", "seed", "output")
+    _add_common(p, "groups", "per_group", "n_min", "n_max", "noise", "seed", "output")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("densify", help="normalize a dataset into step densities")
@@ -339,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("pipeline", help="run the full pipeline")
-    _add_common(p, "input", "format", "distance", "r", "linkage", "cut", "outdir")
-    p.add_argument("--no-plots", action="store_const", const=True, dest="no_plots",
-                   help="skip SVG output")
+    _add_common(p, "input", "format", "distance", "r", "linkage", "cut", "outdir", "no_plots")
     p.set_defaults(func=cmd_pipeline)
     return parser
 
@@ -349,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(Options(args))
     except StageError as exc:
         print(f"leafclust: error {exc}", file=sys.stderr)
         return exc.code

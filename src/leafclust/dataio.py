@@ -56,9 +56,6 @@ class Dataset:
     def ids(self) -> list[str]:
         return [s.id for s in self.sequences]
 
-    def group_of(self, seq_id: str) -> str | None:
-        return None if self.groups is None else self.groups.get(seq_id)
-
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
@@ -125,13 +122,15 @@ def _read_dataset_csv(path: Path) -> Dataset:
                     f"{path}: row {row_no}: negative CCD value for id {seq_id!r}"
                 )
             values[seq_id].append(value)
-    return Dataset(tuple(_build_sequence(path, i, values[i]) for i in order))
+    return Dataset(tuple(_sequence(path, i, values[i]) for i in order))
 
 
-def _build_sequence(path: Path, seq_id: str, vals: list[float]) -> CcdSequence:
-    if len(vals) < 2:
-        raise DataFormatError(f"{path}: id {seq_id!r} has fewer than 2 values")
-    return CcdSequence(seq_id, np.array(vals))
+def _sequence(path: Path, seq_id: str, values) -> CcdSequence:
+    """Build one trace; values ``CcdSequence`` rejects are a format error of ``path``."""
+    try:
+        return CcdSequence(seq_id, values)
+    except ValueError as exc:  # InvalidCcdError, or values that are not numbers
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _write_dataset_csv(dataset: Dataset, path: Path) -> None:
@@ -157,15 +156,7 @@ def _read_dataset_json(path: Path) -> Dataset:
             continue
         if not isinstance(val, list):
             raise DataFormatError(f"{path}: id {key!r} must map to an array")
-        if len(val) < 2:
-            raise DataFormatError(f"{path}: id {key!r} has fewer than 2 values")
-        arr = np.array(val, dtype=float)
-        if np.any(arr < 0):
-            row = int(np.argmax(arr < 0))
-            raise DataFormatError(
-                f"{path}: id {key!r}: negative CCD value at position {row}"
-            )
-        seqs.append(CcdSequence(str(key), arr))
+        seqs.append(_sequence(path, str(key), val))
     if not seqs:
         raise DataFormatError(f"{path}: no sequences found")
     return Dataset(tuple(seqs), groups)

@@ -48,8 +48,10 @@ class CcdSequence:
 
     def __post_init__(self):
         vals = _frozen_array(self.values)
-        if vals.ndim != 1 or vals.size < 2:
-            raise InvalidCcdError(f"sequence {self.id!r}: need at least 2 values")
+        if vals.ndim != 1:
+            raise InvalidCcdError(f"sequence {self.id!r}: values must be one-dimensional")
+        if vals.size < 2:
+            raise InvalidCcdError(f"sequence {self.id!r}: fewer than 2 values")
         if not np.all(np.isfinite(vals)):
             raise InvalidCcdError(f"sequence {self.id!r}: non-finite value")
         if np.any(vals < 0):
@@ -191,12 +193,13 @@ def density_from_ccd(seq: CcdSequence) -> StepDensity:
     """Turn a CCD trace into its unit-mass circular step density.
 
     The height over arc j is y_j / (2*pi*mean(y)), which makes the result
-    invariant to any positive rescaling of the trace.
+    invariant to any positive rescaling of the trace.  The trace is first
+    scaled by a power of two into [0, 1), which is exact, so the mean can
+    neither overflow nor lose precision to subnormal values.
     """
-    n = len(seq)
-    mean = float(np.mean(seq.values))
-    heights = seq.values / (TWO_PI * mean)
-    return StepDensity(grid_breakpoints(n), heights, source_id=seq.id)
+    values = np.ldexp(seq.values, -math.frexp(float(seq.values.max()))[1])
+    heights = values / (TWO_PI * float(np.mean(values)))
+    return StepDensity(grid_breakpoints(len(seq)), heights, source_id=seq.id)
 
 
 def trig_moments(d: StepDensity, r: int) -> TrigMoments:
@@ -248,7 +251,9 @@ def rotate_density(d: StepDensity, mu: float) -> StepDensity:
     The result g satisfies g(t) = d(t + mu) circularly.  Breakpoints that
     fall below zero are wrapped up by 2*pi; the interval straddling the
     wrap point is split in two, so heights are a pure reindexing of the
-    originals and mass is preserved.
+    originals and mass is preserved.  Lifted breakpoints are clamped at
+    2*pi, and intervals that rounding (or a cut exactly on a breakpoint)
+    leaves with zero width are dropped: they carry no mass.
     """
     shift = math.fmod(mu, TWO_PI)
     if shift < 0.0:
@@ -258,18 +263,14 @@ def rotate_density(d: StepDensity, mu: float) -> StepDensity:
 
     b = d.breakpoints
     h = d.heights
-    lift = TWO_PI - shift
     # First interval with right endpoint >= shift; its left endpoint is <= shift.
     s = int(np.searchsorted(b, shift, side="left"))
-    if b[s] == shift:
-        # The cut lands exactly on a breakpoint: intervals reorder without a split.
-        new_b = np.concatenate(([0.0], b[s + 1 :] - shift, b[1 : s + 1] + lift))
-        new_h = np.concatenate((h[s:], h[:s]))
-    else:
-        new_b = np.concatenate(([0.0], b[s:] - shift, b[1:s] + lift, [TWO_PI]))
-        new_h = np.concatenate((h[s - 1 :], h[: s - 1], h[s - 1 : s]))
-    new_b[-1] = TWO_PI  # pin the endpoint bit-exactly
-    return StepDensity(new_b, new_h, source_id=d.source_id, rotation=mu,
+    lifted = np.minimum(b[1:s] + (TWO_PI - shift), TWO_PI)
+    new_b = np.concatenate(([0.0], b[s:] - shift, lifted, [TWO_PI]))
+    new_h = np.concatenate((h[s - 1 :], h[: s - 1], h[s - 1 : s]))
+    keep = np.diff(new_b) > 0.0
+    new_b = np.concatenate(([0.0], new_b[1:][keep]))
+    return StepDensity(new_b, new_h[keep], source_id=d.source_id, rotation=mu,
                        direction_defined=d.direction_defined)
 
 

@@ -201,19 +201,26 @@ def to_newick(dend: Dendrogram) -> str:
         raise ValueError("need at least 2 leaves for a Newick tree")
     heights = [0.0] * m + [mg.height for mg in dend.merges]
     children = _ordered_children(dend)
-
-    def render(node: int, parent_height: float) -> str:
-        length = _format_length(parent_height - heights[node])
+    parts: list[str] = []
+    # An explicit stack instead of recursion, so chained trees of any depth
+    # serialize.  Entries are text to emit or (node, parent height) to expand.
+    stack: list = [";", (2 * m - 2, None)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            parts.append(entry)
+            continue
+        node, parent_height = entry
+        length = ""
+        if parent_height is not None:
+            length = ":" + _format_length(parent_height - heights[node])
         if node < m:
-            return f"{_escape_label(dend.labels[node])}:{length}"
-        left, right = children[node]
-        inner = f"({render(left, heights[node])},{render(right, heights[node])})"
-        return f"{inner}:{length}"
-
-    root = 2 * m - 2
-    left, right = children[root]
-    body = f"({render(left, heights[root])},{render(right, heights[root])})"
-    return body + ";"
+            parts.append(_escape_label(dend.labels[node]) + length)
+        else:
+            left, right = children[node]
+            parts.append("(")
+            stack += [")" + length, (right, heights[node]), ",", (left, heights[node])]
+    return "".join(parts)
 
 
 _NEWICK_UNSAFE = set("():;,[]' \t\n")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import helpers
-from leafclust import Dataset, read_dataset, write_dataset
+from leafclust import Dataset, InvalidCcdError, read_dataset, write_dataset
+from leafclust import cli
 from leafclust.cli import main
 
 
@@ -113,6 +114,61 @@ class TestPipelineCommand:
         assert files1 == files2 and files1
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+    @pytest.mark.parametrize("values", [[1e308] * 3, [1e-320, 2e-320, 3e-320]])
+    def test_extreme_scales_run_to_the_end(self, values, tmp_path):
+        data = tmp_path / "extreme.json"
+        data.write_text(json.dumps({"a": values, "b": [1.0, 2.0, 4.0]}))
+        assert run("pipeline", "--input", data, "--format", "json", "--distance", "all",
+                   "--outdir", tmp_path / "out") == 0
+
+
+def _fail(*args, **kwargs):
+    raise InvalidCcdError("injected failure")
+
+
+def _case(stage, code, argv, broken=None, name=None):
+    """One CLI run that must fail in ``stage`` with exit ``code``.
+
+    ``argv`` has {d} for the data directory; ``broken`` names a function the
+    CLI calls that is replaced by one raising InvalidCcdError.
+    """
+    return pytest.param(stage, code, argv, broken, id=name or stage)
+
+
+EXIT_CODES = [
+    _case("config", 1, "pipeline --config {d}/nope.cfg", name="config-file"),
+    _case("config", 1, "pipeline --outdir {d}/out", name="config-input"),
+    _case("config", 1, "pipeline --input {d}/four.json --format json --r 0 --outdir {d}/out",
+          name="config-r"),
+    _case("read-dataset", 1, "pipeline --input {d}/nope.csv --outdir {d}/out"),
+    _case("read-densities", 1,
+          "distmat --input {d}/four.json --format densities --outdir {d}/out"),
+    _case("read-matrix", 1, "cluster --input {d}/nope.csv --outdir {d}/out"),
+    _case("read-dendrogram", 1,
+          "plot --input {d}/four.json --format json --dendrogram {d}/nope.json --outdir {d}/out"),
+    _case("synth", 1, "synth --n-min 50 --n-max 10 --output {d}/s.json"),
+    _case("cut", 2, "pipeline --input {d}/four.json --format json --distance l1 --cut 9 "
+                    "--no-plots --outdir {d}/out"),
+    _case("normalize", 2, "densify --input {d}/four.json --format json --outdir {d}/out",
+          "normalize_leaf"),
+    _case("distances-l1", 2, "distmat --input {d}/four.json --format json --distance l1 "
+                             "--outdir {d}/out", "distance_matrix"),
+    _case("cluster", 2, "pipeline --input {d}/four.json --format json --distance l1 "
+                        "--no-plots --outdir {d}/out", "agglomerate"),
+    _case("plot", 2, "plot --input {d}/four.json --format json --outdir {d}/out",
+          "leaf_outline"),
+]
+
+
+@pytest.mark.parametrize("stage,code,argv,broken", EXIT_CODES)
+def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, four_leaf_json,
+                                          monkeypatch, capsys):
+    if broken is not None:
+        monkeypatch.setattr(cli, broken, _fail)
+    assert main(argv.format(d=four_leaf_json.parent).split()) == code
+    assert f"leafclust: error [{stage}] " in capsys.readouterr().err
 
 
 class TestStagewiseCommands:

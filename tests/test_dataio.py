@@ -111,6 +111,18 @@ class TestDatasetJson:
         with pytest.raises(DataFormatError, match="position 2"):
             read_dataset(path, "json")
 
+    def test_short_sequence(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"a": [1], "b": [1, 2]}')
+        with pytest.raises(DataFormatError, match="'a': fewer than 2"):
+            read_dataset(path, "json")
+
+    def test_non_numeric_value(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"a": [1, "wat"]}')
+        with pytest.raises(DataFormatError, match="d.json"):
+            read_dataset(path, "json")
+
     def test_reserved_groups_id_rejected_on_write(self, tmp_path):
         ds = Dataset((CcdSequence("groups", np.array([1.0, 2.0])),))
         with pytest.raises(DataFormatError, match="reserved"):

@@ -86,6 +86,19 @@ class TestDensityFromCcd:
             d = density_from_ccd(helpers.random_ccd(rng))
             assert abs(d.mass() - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("values,like", [([1e308] * 3, [1.0, 1.0, 1.0]),
+                                             ([1e-320, 2e-320, 3e-320], [1.0, 2.0, 3.0])])
+    def test_extreme_scales_normalize(self, values, like):
+        # The mean of [1e308] * 3 overflows and subnormal traces lose
+        # precision unless the trace is rescaled before the mean is taken.
+        d = density_from_ccd(CcdSequence("x", np.array(values)))
+        assert abs(d.mass() - 1.0) <= 1e-9
+        ref = density_from_ccd(CcdSequence("x", np.array(like)))
+        np.testing.assert_allclose(d.heights, ref.heights, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(normalize_leaf(CcdSequence("x", np.array(values))).heights,
+                                   normalize_leaf(CcdSequence("x", np.array(like))).heights,
+                                   rtol=1e-15, atol=0)
+
 
 class TestStepDensityValidation:
     def test_rejects_bad_mass(self):
@@ -221,6 +234,25 @@ class TestRotateDensity:
             back = rotate_density(rotate_density(d, mu), -mu)
             probes = rng.uniform(1e-9, TWO_PI, 200)
             np.testing.assert_array_equal(d.evaluate(probes), back.evaluate(probes))
+
+    @pytest.mark.parametrize("n", [3, 7, 100, 997, 4000])
+    def test_shifts_on_and_one_ulp_beside_every_breakpoint(self, n):
+        # Shifted or lifted breakpoints can round onto each other or onto
+        # 2*pi; the zero-width intervals that leaves must be dropped.
+        rng = np.random.default_rng(n)
+        d = density_from_ccd(CcdSequence("x", rng.uniform(0.5, 2.0, n)))
+        mids = 0.5 * (d.breakpoints[:-1] + d.breakpoints[1:])
+        for k in range(1, n):
+            b = d.breakpoints[k]
+            # The pieces on either side of the cut and at the ends of the support.
+            pieces = np.unique(np.clip([0, k - 2, k - 1, k, k + 1, n - 1], 0, n - 1))
+            for shift in (np.nextafter(b, 0.0), b, np.nextafter(b, TWO_PI)):
+                r = rotate_density(d, float(shift))
+                assert r.breakpoints[0] == 0.0 and r.breakpoints[-1] == TWO_PI
+                assert abs(r.mass() - 1.0) <= 1e-9
+                # g(t) = d(t + shift): each original piece keeps its height.
+                np.testing.assert_array_equal(r.evaluate(mids[pieces] - shift),
+                                              d.heights[pieces])
 
     def test_rotation_by_own_mean_direction_zeroes_beta(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import linkage as scipy_linkage
@@ -74,6 +76,19 @@ class TestAgglomerate:
             for got, want in zip(dend.merges, ref):
                 assert got.height == pytest.approx(want[2], abs=1e-12)
                 assert got.size == want[3]
+
+    @pytest.mark.parametrize("link", list(Linkage))
+    def test_matches_brute_force_on_tie_heavy_matrices(self, link):
+        # Entries in {0..3} make many pairs tie, so every merge exercises the
+        # (height, smaller id, larger id) tie-break.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            m = int(rng.integers(2, 14))
+            tri = rng.integers(0, 4, size=m * (m - 1) // 2).astype(float)
+            dm = matrix_from(squareform(tri))
+            got = [(g.left, g.right, g.height, g.size)
+                   for g in agglomerate(dm, link).merges]
+            assert got == helpers.brute_force_agglomerate(dm.entries.tolist(), link.value)
 
     @pytest.mark.parametrize("link,method", [(Linkage.COMPLETE, "complete"),
                                              (Linkage.SINGLE, "single"),
@@ -183,6 +198,24 @@ class TestNewick:
         tree = helpers.parse_newick(text)
         _, root_leaves = helpers.newick_node_heights(tree)
         assert root_leaves == {"a b", "c:d"}
+
+    def test_deep_chain_serializes(self):
+        # Each merge adds one leaf to the previous cluster: 1,199 levels,
+        # deeper than the default recursion limit.
+        m = 1200
+        merges = [Merge(0, 1, 1.0, 2)] + [Merge(m + i - 1, i + 1, float(i + 1), i + 2)
+                                          for i in range(1, m - 1)]
+        dend = Dendrogram(tuple(f"x{i}" for i in range(m)), tuple(merges))
+        text = to_newick(dend)
+        assert text.startswith("(" * (m - 1) + "x0:1,x1:1):1,x2:2):1,x3:3)")
+        assert text.endswith(f",x{m - 1}:{m - 1});")
+        assert text.count("(") == text.count(")") == m - 1
+        assert re.findall(r"x\d+", text) == [f"x{i}" for i in leaf_order(dend)]
+        depth = 0
+        for ch in text:
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            assert depth >= 0
+        assert depth == 0
 
     def test_leaf_order_matches_newick(self):
         dend = agglomerate(THREE, Linkage.COMPLETE)
