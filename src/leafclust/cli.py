@@ -62,31 +62,44 @@ def _stage(name: str, code: int):
 
 
 def _read_config(path: str) -> dict:
+    """The known options of a key=value file, each checked as its flag would be."""
     values: dict = {}
     with _stage("config", 1):
         text = Path(path).read_text()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise StageError("config", f"{path}:{line_no}: expected key=value", 1)
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = _coerce(value.strip())
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{line_no}: expected key=value")
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key in _OPTIONS:
+                try:
+                    values[key] = _config_value(key, value.strip())
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
     return values
 
 
-def _coerce(value: str):
-    low = value.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    for conv in (int, float):
-        try:
-            return conv(value)
-        except ValueError:
-            pass
+_BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
+
+
+def _config_value(key: str, text: str):
+    """``text`` converted and checked by the ``type``/``choices`` of option ``key``."""
+    spec = _OPTIONS[key][1]
+    if spec.get("action") == "store_const":
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"{key}: expected true or false, got {text!r}")
+        return _BOOLEANS[text.lower()]
+    convert = spec.get("type", str)
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ValueError(f"{key}: invalid {convert.__name__} value {text!r}") from None
+    choices = spec.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{key}: invalid choice {text!r} (choose from {', '.join(choices)})")
     return value
 
 
@@ -115,8 +128,6 @@ class Options:
 def _kinds_for(name: str, r: int) -> list[DistanceKind]:
     if r < 1:
         raise StageError("config", f"moment order r must be >= 1, got {r}", 1)
-    if name not in DISTANCE_CHOICES:
-        raise StageError("config", f"unknown distance {name!r}", 1)
     tags = list(DistanceTag) if name == "all" else [DistanceTag(name)]
     return [DistanceKind(tag, r) for tag in tags]
 
@@ -135,11 +146,16 @@ def _normalize_all(dataset: dataio.Dataset):
 
 def _outdir(opts: Options) -> Path:
     out = Path(opts.get("outdir"))
-    out.mkdir(parents=True, exist_ok=True)
+    with _stage("write", 1):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _wrote(path: Path) -> None:
+@contextmanager
+def _writing(path: Path):
+    """Run the write of artifact ``path`` as the ``write`` stage, then report it."""
+    with _stage("write", 1):
+        yield
     print(f"wrote {path}")
 
 
@@ -150,13 +166,12 @@ def _wrote(path: Path) -> None:
 def cmd_synth(opts: Options) -> int:
     with _stage("synth", 1):
         dataset = synth.synth_dataset(
-            int(opts.get("groups")), int(opts.get("per_group")),
-            (int(opts.get("n_min")), int(opts.get("n_max"))),
-            float(opts.get("noise")), int(opts.get("seed")),
+            opts.get("groups"), opts.get("per_group"), (opts.get("n_min"), opts.get("n_max")),
+            opts.get("noise"), opts.get("seed"),
         )
     out = Path(opts.get("output"))
-    dataio.write_dataset(dataset, out, fmt="json")
-    _wrote(out)
+    with _writing(out):
+        dataio.write_dataset(dataset, out, fmt="json")
     return 0
 
 
@@ -164,8 +179,8 @@ def cmd_densify(opts: Options) -> int:
     dataset = _load_dataset(opts)
     densities = _normalize_all(dataset)
     out = _outdir(opts) / "densities.json"
-    dataio.write_densities(densities, out)
-    _wrote(out)
+    with _writing(out):
+        dataio.write_densities(densities, out)
     return 0
 
 
@@ -182,13 +197,13 @@ def _distance_stage(opts: Options, densities, out: Path):
     """Compute and write (CSV and JSON) one matrix per requested kind."""
     labels = [d.source_id for d in densities]
     matrices = []
-    for kind in _kinds_for(opts.get("distance"), int(opts.get("r"))):
+    for kind in _kinds_for(opts.get("distance"), opts.get("r")):
         with _stage(f"distances-{kind.name}", 2):
             dm = distance_matrix(densities, labels, kind)
         for fmt in ("csv", "json"):
             path = out / f"matrix_{kind.name}.{fmt}"
-            dataio.write_matrix(dm, path, fmt)
-            _wrote(path)
+            with _writing(path):
+                dataio.write_matrix(dm, path, fmt)
         matrices.append(dm)
     return matrices
 
@@ -216,18 +231,18 @@ def _cluster_one(dm, linkage_name: str) -> Dendrogram:
 
 def _write_tree(dend: Dendrogram, out: Path, stem: str, opts: Options) -> None:
     json_path = out / f"{stem}.json"
-    dataio.write_dendrogram(dend, json_path)
-    _wrote(json_path)
+    with _writing(json_path):
+        dataio.write_dendrogram(dend, json_path)
     nwk_path = out / f"{stem}.nwk"
-    nwk_path.write_text(to_newick(dend) + "\n")
-    _wrote(nwk_path)
+    with _writing(nwk_path):
+        nwk_path.write_text(to_newick(dend) + "\n")
     k = opts.get("cut")
     if k is not None:
         with _stage("cut", 2):
-            assignment = cut(dend, int(k))
+            assignment = cut(dend, k)
         clusters_path = out / f"{stem.replace('dendrogram', 'clusters')}.json"
-        dataio.write_clusters(dend.labels, assignment, int(k), clusters_path)
-        _wrote(clusters_path)
+        with _writing(clusters_path):
+            dataio.write_clusters(dend.labels, assignment, k, clusters_path)
 
 
 def cmd_plot(opts: Options) -> int:
@@ -239,8 +254,8 @@ def cmd_plot(opts: Options) -> int:
         with _stage("read-dendrogram", 1):
             dend = dataio.read_dendrogram(dend_path)
         path = out / "dendrogram.svg"
-        svgplot.plot_dendrogram(dend, path)
-        _wrote(path)
+        with _writing(path):
+            svgplot.plot_dendrogram(dend, path)
     return 0
 
 
@@ -255,15 +270,15 @@ def _plot_dataset(dataset: dataio.Dataset, out: Path) -> None:
         ("densities_normalized.svg", normalized, "circular densities (normalized)"),
     ):
         path = out / name
-        svgplot.plot_densities(densities, path, groups=dataset.groups, title=title)
-        _wrote(path)
+        with _writing(path):
+            svgplot.plot_densities(densities, path, groups=dataset.groups, title=title)
     for name, outlines in (
         ("leaves_unrotated.svg", flat),
         ("leaves_rotated.svg", turned),
     ):
         path = out / name
-        svgplot.plot_leaves(outlines, path)
-        _wrote(path)
+        with _writing(path):
+            svgplot.plot_leaves(outlines, path)
 
 
 def cmd_pipeline(opts: Options) -> int:
@@ -277,8 +292,8 @@ def cmd_pipeline(opts: Options) -> int:
         _write_tree(dend, out, f"dendrogram_{name}", opts)
         if not opts.get("no_plots"):
             path = out / f"dendrogram_{name}.svg"
-            svgplot.plot_dendrogram(dend, path, title=f"{linkage} linkage, {name}")
-            _wrote(path)
+            with _writing(path):
+                svgplot.plot_dendrogram(dend, path, title=f"{linkage} linkage, {name}")
     if not opts.get("no_plots"):
         _plot_dataset(dataset, out)
     return 0

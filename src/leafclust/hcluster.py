@@ -2,9 +2,16 @@
 
 Complete linkage is the default throughout the package because it keeps the
 maximum within-cluster dissimilarity small; single and average linkage are
-available as options.  Cluster distances are recomputed directly from the
-original matrix at every step, which is plenty fast at the matrix sizes
-this package deals with and keeps the code obviously correct.
+available as options.
+
+``agglomerate`` keeps a dense matrix of linkage heights between the active
+clusters and, after each merge, writes one new row by the Lance-Williams
+recurrence: the maximum (complete) or minimum (single) of the two merged
+rows, or for average linkage the sum of the two rows of block sums divided
+by the product of cluster sizes, so every height is a block sum over a
+block size.  Each step is O(m^2) vectorized work.  Among the pairs at the
+minimal height the one with the smallest (smaller id, larger id) node ids
+merges, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -82,14 +89,6 @@ class Dendrogram:
         return sets
 
 
-def _linkage_value(block: np.ndarray, linkage: Linkage) -> float:
-    if linkage is Linkage.COMPLETE:
-        return float(block.max())
-    if linkage is Linkage.SINGLE:
-        return float(block.min())
-    return float(block.mean())
-
-
 def agglomerate(dm: DistanceMatrix, linkage: Linkage = Linkage.COMPLETE) -> Dendrogram:
     """Cluster a distance matrix bottom-up into a dendrogram.
 
@@ -98,25 +97,52 @@ def agglomerate(dm: DistanceMatrix, linkage: Linkage = Linkage.COMPLETE) -> Dend
     smallest (smaller id, larger id) pair so runs are reproducible.
     """
     linkage = Linkage(linkage)
-    entries = dm.entries
     m = dm.size
-    # Active cluster id -> array of member leaf indices.
-    active: dict[int, np.ndarray] = {i: np.array([i]) for i in range(m)}
+    # Slots 0..k-1 hold the k active clusters: node id, size and, in
+    # ``heights``, the linkage height to every other slot (inf on the
+    # diagonal).  Average linkage also keeps the block sums.
+    heights = np.array(dm.entries, dtype=float)
+    np.fill_diagonal(heights, np.inf)
+    sums = np.array(dm.entries, dtype=float) if linkage is Linkage.AVERAGE else None
+    ids = np.arange(m)
+    sizes = np.ones(m)
     merges: list[Merge] = []
-    for step in range(m - 1):
-        ids = sorted(active)
-        best = None
-        for a_pos, a in enumerate(ids):
-            for b in ids[a_pos + 1 :]:
-                block = entries[np.ix_(active[a], active[b])]
-                cand = (_linkage_value(block, linkage), a, b)
-                if best is None or cand < best:
-                    best = cand
-        height, a, b = best
-        members = np.concatenate((active[a], active[b]))
-        del active[a], active[b]
-        active[m + step] = members
-        merges.append(Merge(a, b, height, members.size))
+    floor = 0.0
+    for k in range(m, 1, -1):
+        active = heights[:k, :k]
+        height = active.min()
+        rows, cols = np.nonzero(active == height)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+        lo = np.minimum(ids[rows], ids[cols])
+        hi = np.maximum(ids[rows], ids[cols])
+        best = np.argmin(lo * (2 * m) + hi)
+        keep, drop = sorted((int(rows[best]), int(cols[best])))
+        size = sizes[keep] + sizes[drop]
+        if linkage is Linkage.COMPLETE:
+            row = np.maximum(active[keep], active[drop])
+        elif linkage is Linkage.SINGLE:
+            row = np.minimum(active[keep], active[drop])
+        else:
+            sums[keep, :k] += sums[drop, :k]
+            sums[:k, keep] = sums[keep, :k]
+            row = sums[keep, :k] / (size * sizes[:k])
+        row[keep] = np.inf
+        heights[keep, :k] = row
+        heights[:k, keep] = row
+        # The last slot moves into the dropped one, so slots 0..k-2 stay active.
+        last = k - 1
+        for arr in (heights, sums):
+            if arr is not None:
+                arr[drop, :k] = arr[last, :k]
+                arr[:k, drop] = arr[:k, last]
+        heights[drop, drop] = np.inf
+        # Rounding can put a mathematically tied average height an ulp
+        # below the previous one; record the heights non-decreasing.
+        floor = max(floor, float(height))
+        merges.append(Merge(int(lo[best]), int(hi[best]), floor, int(size)))
+        ids[keep], sizes[keep] = m + len(merges) - 1, size
+        ids[drop], sizes[drop] = ids[last], sizes[last]
     return Dendrogram(dm.labels, tuple(merges))
 
 

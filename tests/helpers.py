@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths: moments
 and integral distances are re-derived by midpoint quadrature on a fine
 grid and, exactly, by a per-pair copy of the earlier distance code,
-clustering by a plain-Python agglomerative loop over member lists,
+clustering by a plain-Python agglomerative loop over member lists and by
+the earlier blockwise library clustering,
 and Newick strings by a tiny recursive-descent parser.
 """
 
@@ -216,6 +217,34 @@ def brute_force_agglomerate(matrix, linkage: str):
         merges.append((a, b, dist, len(merged)))
         clusters[next_id] = merged
         next_id += 1
+    return merges
+
+
+def agglomerate_blockwise(matrix: np.ndarray, linkage: str):
+    """The earlier library clustering, kept as an exact oracle.
+
+    Recomputes every active pair's linkage from its ``np.ix_`` block of the
+    original matrix at every step.  Returns merge tuples like
+    ``brute_force_agglomerate``; complete and single heights are matrix
+    entries, so the library's must equal them bit for bit.
+    """
+    reduce = {"complete": np.max, "single": np.min, "average": np.mean}[linkage]
+    m = matrix.shape[0]
+    active = {i: np.array([i]) for i in range(m)}
+    merges = []
+    for step in range(m - 1):
+        ids = sorted(active)
+        best = None
+        for a_pos, a in enumerate(ids):
+            for b in ids[a_pos + 1:]:
+                cand = (float(reduce(matrix[np.ix_(active[a], active[b])])), a, b)
+                if best is None or cand < best:
+                    best = cand
+        height, a, b = best
+        members = np.concatenate((active[a], active[b]))
+        del active[a], active[b]
+        active[m + step] = members
+        merges.append((a, b, height, members.size))
     return merges
 
 

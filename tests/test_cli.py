@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from leafclust import Dataset, InvalidCcdError, read_dataset, write_dataset
@@ -128,13 +130,20 @@ def _fail(*args, **kwargs):
     raise InvalidCcdError("injected failure")
 
 
-def _case(stage, code, argv, broken=None, name=None):
+def _case(stage, code, argv, broken=None, name=None, config=None):
     """One CLI run that must fail in ``stage`` with exit ``code``.
 
     ``argv`` has {d} for the data directory; ``broken`` names a function the
-    CLI calls that is replaced by one raising InvalidCcdError.
+    CLI calls that is replaced by one raising InvalidCcdError; ``config`` is
+    the text of {d}/run.cfg.
     """
-    return pytest.param(stage, code, argv, broken, id=name or stage)
+    return pytest.param(stage, code, argv, broken, config, id=name or stage)
+
+
+def _config_case(line, command="pipeline"):
+    return _case("config", 1, f"{command} --input {{d}}/four.json --format json "
+                              "--config {d}/run.cfg --outdir {d}/out",
+                 name=f"config-{line.replace(' ', '')}", config=line)
 
 
 EXIT_CODES = [
@@ -142,6 +151,13 @@ EXIT_CODES = [
     _case("config", 1, "pipeline --outdir {d}/out", name="config-input"),
     _case("config", 1, "pipeline --input {d}/four.json --format json --r 0 --outdir {d}/out",
           name="config-r"),
+    _config_case("r = abc"),
+    _config_case("r = 2.5"),
+    _config_case("cut = 2.5"),
+    _config_case("linkage = ward"),
+    _config_case("distance = foo"),
+    _config_case("format = xml", command="densify"),
+    _config_case("no_plots = maybe"),
     _case("read-dataset", 1, "pipeline --input {d}/nope.csv --outdir {d}/out"),
     _case("read-densities", 1,
           "distmat --input {d}/four.json --format densities --outdir {d}/out"),
@@ -159,16 +175,26 @@ EXIT_CODES = [
                         "--no-plots --outdir {d}/out", "agglomerate"),
     _case("plot", 2, "plot --input {d}/four.json --format json --outdir {d}/out",
           "leaf_outline"),
+    _case("write", 1, "synth --groups 2 --per-group 2 --n-min 30 --n-max 50 "
+                      "--output {d}/missing/s.json", name="write-output"),
+    _case("write", 1, "densify --input {d}/four.json --format json --outdir {d}/four.json",
+          name="write-outdir"),
 ]
 
 
-@pytest.mark.parametrize("stage,code,argv,broken", EXIT_CODES)
-def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, four_leaf_json,
+@pytest.mark.parametrize("stage,code,argv,broken,config", EXIT_CODES)
+def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, four_leaf_json,
                                           monkeypatch, capsys):
+    d = four_leaf_json.parent
     if broken is not None:
         monkeypatch.setattr(cli, broken, _fail)
-    assert main(argv.format(d=four_leaf_json.parent).split()) == code
+    if config is not None:
+        (d / "run.cfg").write_text(config + "\n")
+    before = sorted(p for p in d.rglob("*") if p.is_file())
+    assert main(argv.format(d=d).split()) == code
     assert f"leafclust: error [{stage}] " in capsys.readouterr().err
+    if stage in ("config", "write"):
+        assert sorted(p for p in d.rglob("*") if p.is_file()) == before
 
 
 class TestStagewiseCommands:
@@ -229,6 +255,30 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
         assert run("pipeline", "--config", cfg) == 1
+
+    def test_bad_value_names_the_key_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# run\nlinkage = ward\n")
+        assert run("cluster", "--config", cfg) == 1
+        assert f"[config] {cfg}:2: linkage: invalid choice 'ward'" in capsys.readouterr().err
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(key=st.sampled_from(sorted(k for k, (_, spec) in cli._OPTIONS.items()
+                                      if "type" in spec or "choices" in spec)),
+           text=st.one_of(st.text(), st.from_regex(r"-?[0-9]{1,3}(\.[0-9])?", fullmatch=True),
+                          st.sampled_from(cli.DISTANCE_CHOICES + ("average", "json"))))
+    def test_values_are_checked_as_their_flags_are(self, key, text):
+        parser = argparse.ArgumentParser(exit_on_error=False)
+        parser.add_argument("--value", **cli._OPTIONS[key][1])
+        try:
+            flag = parser.parse_args([f"--value={text}"]).value
+        except (argparse.ArgumentError, SystemExit):
+            flag = None
+        try:
+            value = cli._config_value(key, text)
+        except ValueError:
+            value = None
+        assert repr(value) == repr(flag)
 
 
 class TestSyntheticRecovery:

@@ -14,7 +14,10 @@ from leafclust import (
     Merge,
     agglomerate,
     cut,
+    distance_matrix,
     leaf_order,
+    normalize_leaf,
+    synth_dataset,
     to_newick,
 )
 
@@ -140,6 +143,110 @@ class TestAgglomerate:
             groups_other = {frozenset(permuted.labels[i] for i in range(7) if other[i] == c)
                             for c in set(other)}
             assert groups_base == groups_other
+
+
+# Few decimal fractions, none exact in binary: many pairs tie mathematically,
+# and their average heights come out an ulp apart depending on the
+# summation order.
+DECIMALS = (0.1, 0.2, 0.3)
+
+
+def block_linkages(entries, clusters, link):
+    """Linkage between every two of ``clusters`` (leaf lists), from the blocks."""
+    m = entries.shape[0]
+    owner = np.empty(m, dtype=int)
+    for c, leaves in enumerate(clusters):
+        owner[leaves] = c
+    k = len(clusters)
+    rows, cols = np.meshgrid(owner, owner, indexing="ij")
+    if link is Linkage.AVERAGE:
+        sums = np.zeros((k, k))
+        np.add.at(sums, (rows, cols), entries)
+        sizes = np.array([len(leaves) for leaves in clusters], dtype=float)
+        return sums / np.outer(sizes, sizes)
+    reduce = np.maximum if link is Linkage.COMPLETE else np.minimum
+    out = np.full((k, k), -np.inf if link is Linkage.COMPLETE else np.inf)
+    reduce.at(out, (rows, cols), entries)
+    return out
+
+
+def synth_l1_matrix(per_group, seed):
+    """The l1 matrix of a cluster-wide-shaped synthetic dataset, m = 4 * per_group."""
+    dataset = synth_dataset(4, per_group, (64, 256), 0.05, seed)
+    densities = [normalize_leaf(seq) for seq in dataset.sequences]
+    return distance_matrix(densities, [d.source_id for d in densities], KIND)
+
+
+def as_tuples(dend):
+    return [(g.left, g.right, g.height, g.size) for g in dend.merges]
+
+
+class TestNearTies:
+    def test_tied_average_heights_do_not_decrease(self):
+        # Every entry but two is 0.7, so the last two merges tie at 0.7; the
+        # block sums of the last one give a mean an ulp away from 0.7.
+        dm = matrix_from(squareform([0.7, 0.1, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.1]))
+        dend = agglomerate(dm, Linkage.AVERAGE)
+        assert [(mg.left, mg.right, mg.height) for mg in dend.merges] == \
+            [(0, 2, 0.1), (3, 4, 0.1), (1, 5, 0.7), (6, 7, 0.7)]
+
+    @pytest.mark.parametrize("link", list(Linkage))
+    def test_heights_never_decrease_and_match_the_blocks(self, link):
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            m = int(rng.integers(2, 14))
+            dm = matrix_from(squareform(rng.choice(DECIMALS, size=m * (m - 1) // 2)))
+            dend = agglomerate(dm, link)
+            heights = [mg.height for mg in dend.merges]
+            assert heights == sorted(heights)
+            sets = dend.leaf_sets()
+            active = list(range(m))
+            for i, mg in enumerate(dend.merges):
+                values = block_linkages(dm.entries, [sorted(sets[c]) for c in active], link)
+                np.fill_diagonal(values, np.inf)
+                pair = values[active.index(mg.left), active.index(mg.right)]
+                assert abs(mg.height - pair) <= 1e-12
+                assert abs(mg.height - values.min()) <= 1e-12
+                active.remove(mg.left)
+                active.remove(mg.right)
+                active.append(m + i)
+
+
+class TestAgglomerateAtScale:
+    @pytest.mark.parametrize("link", list(Linkage))
+    @pytest.mark.parametrize("source", ["random", "synth"])
+    @pytest.mark.parametrize("m", [40, 128])
+    def test_matches_references(self, m, source, link):
+        rng = np.random.default_rng(32 + m)
+        dm = random_matrix(rng, m) if source == "random" else synth_l1_matrix(m // 4, m)
+        got = as_tuples(agglomerate(dm, link))
+        if m == 40:
+            ref = helpers.brute_force_agglomerate(dm.entries.tolist(), link.value)
+            assert helpers.merge_leaf_sets(m, got) == helpers.merge_leaf_sets(m, ref)
+            np.testing.assert_allclose([g[2] for g in got], [r[2] for r in ref],
+                                       rtol=0, atol=1e-12)
+        z = scipy_linkage(squareform(dm.entries), method=link.value)
+        scipy_merges = [(int(a), int(b), float(h), int(s)) for a, b, h, s in z]
+        assert set(helpers.merge_leaf_sets(m, got)) == \
+            set(helpers.merge_leaf_sets(m, scipy_merges))
+        np.testing.assert_allclose([g[2] for g in got], sorted(z[:, 2]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("link", [Linkage.COMPLETE, Linkage.SINGLE])
+    @pytest.mark.parametrize("m", [40, 128])
+    def test_equals_the_blockwise_oracle_on_synthetic_data(self, m, link):
+        dm = synth_l1_matrix(m // 4, m)
+        assert as_tuples(agglomerate(dm, link)) == \
+            helpers.agglomerate_blockwise(dm.entries, link.value)
+
+    @pytest.mark.parametrize("link", list(Linkage))
+    def test_four_hundred_leaves(self, link):
+        m = 400
+        dm = random_matrix(np.random.default_rng(33), m)
+        dend = agglomerate(dm, link)
+        assert len(dend.merges) == m - 1 and dend.merges[-1].size == m
+        z = scipy_linkage(squareform(dm.entries), method=link.value)
+        np.testing.assert_allclose([mg.height for mg in dend.merges], sorted(z[:, 2]),
+                                   rtol=0, atol=1e-12)
 
 
 class TestCut:
