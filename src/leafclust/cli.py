@@ -62,7 +62,10 @@ def _stage(name: str, code: int):
 
 
 def _read_config(path: str) -> dict:
-    """The known options of a key=value file, each checked as its flag would be."""
+    """The options of a key=value file, each checked as its flag would be.
+
+    A key may name an option this subcommand does not use: one file can serve several.
+    """
     values: dict = {}
     with _stage("config", 1):
         text = Path(path).read_text()
@@ -74,11 +77,12 @@ def _read_config(path: str) -> dict:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key in _OPTIONS:
-                try:
-                    values[key] = _config_value(key, value.strip())
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if key not in _OPTIONS:
+                raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
+            try:
+                values[key] = _config_value(key, value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return values
 
 
@@ -110,6 +114,9 @@ class Options:
         self._flags = {k: v for k, v in vars(args).items() if v is not None}
         config_path = self._flags.get("config")
         self._config = _read_config(config_path) if config_path else {}
+        r = self.get("r")
+        if r < 1:
+            raise StageError("config", f"moment order r must be >= 1, got {r}", 1)
 
     def get(self, key: str):
         if key in self._flags:
@@ -126,8 +133,6 @@ class Options:
 
 
 def _kinds_for(name: str, r: int) -> list[DistanceKind]:
-    if r < 1:
-        raise StageError("config", f"moment order r must be >= 1, got {r}", 1)
     tags = list(DistanceTag) if name == "all" else [DistanceTag(name)]
     return [DistanceKind(tag, r) for tag in tags]
 

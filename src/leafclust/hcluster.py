@@ -156,23 +156,12 @@ def cut(dend: Dendrogram, k: int) -> list[int]:
     m = dend.n_leaves
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    parent = list(range(2 * m - 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, mg in enumerate(dend.merges[: m - k]):
-        node = m + i
-        parent[find(mg.left)] = node
-        parent[find(mg.right)] = node
-
-    roots: dict[int, list[int]] = {}
-    for leaf in range(m):
-        roots.setdefault(find(leaf), []).append(leaf)
-    components = sorted(roots.values(), key=min)
+    # After the first m-k merges the clusters are the nodes below 2m-k
+    # that none of those merges consumed.
+    consumed = {child for mg in dend.merges[: m - k] for child in (mg.left, mg.right)}
+    sets = dend.leaf_sets()
+    components = sorted((sets[node] for node in range(2 * m - k) if node not in consumed),
+                        key=min)
     assignment = [0] * m
     for cluster_id, leaves in enumerate(components):
         for leaf in leaves:

@@ -29,6 +29,10 @@ DASHES = ("none", "7,3", "2,2", "8,3,2,3", "12,3", "4,2,1,2")
 _FONT = 'font-family="sans-serif"'
 
 
+def _dash(dash: str) -> str:
+    return "" if dash == "none" else f' stroke-dasharray="{dash}"'
+
+
 def _esc(text: str) -> str:
     return (
         str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -48,25 +52,17 @@ class SvgCanvas:
         self.elements.append(element)
 
     def line(self, x1, y1, x2, y2, stroke="#000000", width=1.0, dash="none") -> None:
-        dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         self.add(
             f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}"'
-            f' stroke="{stroke}" stroke-width="{_num(width)}"{dash_attr}/>'
+            f' stroke="{stroke}" stroke-width="{_num(width)}"{_dash(dash)}/>'
         )
 
-    def polyline(self, points, stroke="#000000", width=1.0, dash="none") -> None:
-        data = " ".join(f"{_num(x)},{_num(y)}" for x, y in points)
-        dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
+    def shape(self, tag, xs, ys, stroke, width, fill="none", dash="none") -> None:
+        """A ``<polyline>`` or ``<polygon>`` through the points (xs[i], ys[i])."""
+        data = " ".join(map("{},{}".format, map(_num, xs.tolist()), map(_num, ys.tolist())))
         self.add(
-            f'<polyline points="{data}" fill="none" stroke="{stroke}"'
-            f' stroke-width="{_num(width)}"{dash_attr}/>'
-        )
-
-    def polygon(self, points, stroke="#000000", width=1.0, fill="none") -> None:
-        data = " ".join(f"{_num(x)},{_num(y)}" for x, y in points)
-        self.add(
-            f'<polygon points="{data}" fill="{fill}" stroke="{stroke}"'
-            f' stroke-width="{_num(width)}"/>'
+            f'<{tag} points="{data}" fill="{fill}" stroke="{stroke}"'
+            f' stroke-width="{_num(width)}"{_dash(dash)}/>'
         )
 
     def text(self, x, y, content, size=11, anchor="start", color="#000000", extra="") -> None:
@@ -102,10 +98,6 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     first = math.ceil(lo / step - 1e-9)
     last = math.floor(hi / step + 1e-9)
     return [k * step for k in range(first, last + 1)]
-
-
-def _tick_label(value: float) -> str:
-    return f"{value:g}"
 
 
 def style_for(index: int) -> tuple[str, str]:
@@ -151,7 +143,7 @@ def plot_densities(densities, path, groups: dict[str, str] | None = None,
         canvas.text(px(t), mt + ph + 16, label, anchor="middle")
     for tick in _nice_ticks(0.0, ymax):
         canvas.line(ml - 4, py(tick), ml, py(tick))
-        canvas.text(ml - 7, py(tick) + 4, _tick_label(tick), anchor="end")
+        canvas.text(ml - 7, py(tick) + 4, f"{tick:g}", anchor="end")
     canvas.text(ml + pw / 2, height - 6, "angle (radians)", anchor="middle")
     if title:
         canvas.text(ml + pw / 2, 18, title, anchor="middle", size=13)
@@ -165,12 +157,9 @@ def plot_densities(densities, path, groups: dict[str, str] | None = None,
             style_keys.append(key)
     for d in densities:
         stroke, dash = style_for(style_keys.index(key_of(d)))
-        b, h = d.breakpoints, d.heights
-        points = [(px(b[0]), py(h[0]))]
-        for k in range(h.size):
-            points.append((px(b[k]), py(h[k])))
-            points.append((px(b[k + 1]), py(h[k])))
-        canvas.polyline(points[1:], stroke=stroke, width=1.2, dash=dash)
+        # Step corners: (b[k], h[k]) and (b[k+1], h[k]) for every interval k.
+        canvas.shape("polyline", px(np.repeat(d.breakpoints, 2)[1:-1]),
+                     py(np.repeat(d.heights, 2)), stroke=stroke, width=1.2, dash=dash)
     # legend
     ly = mt + 6.0
     for i, key in enumerate(style_keys):
@@ -206,11 +195,9 @@ def plot_leaves(outlines, path, ncols: int | None = None) -> None:
                    float(pts[:, 1].max() - pts[:, 1].min()), 1e-12)
         scale = (cell - 2 * pad) / span
         # SVG y grows downward; flip the second coordinate.
-        mapped = [
-            (ox + cell / 2 + (x - cx) * scale, oy + cell / 2 - (y - cy) * scale)
-            for x, y in pts
-        ]
-        canvas.polygon(mapped, stroke="#2a6f4e", width=1.0, fill="#eaf4ee")
+        canvas.shape("polygon", ox + cell / 2 + (pts[:, 0] - cx) * scale,
+                     oy + cell / 2 - (pts[:, 1] - cy) * scale,
+                     stroke="#2a6f4e", width=1.0, fill="#eaf4ee")
         canvas.text(ox + cell / 2, oy - 4, outline.id, anchor="middle", size=10)
     canvas.write(path)
 
@@ -234,38 +221,33 @@ def plot_dendrogram(dend: Dendrogram, path, title: str = "") -> None:
     sx = pw / m
     sy = ph / top
 
-    xpos = [0.0] * (2 * m - 1)
-    for slot, leaf in enumerate(order):
-        xpos[leaf] = slot + 0.5
-    heights = [0.0] * m + [mg.height for mg in dend.merges]
-    bars = []
-    for i, mg in enumerate(dend.merges):
-        node = m + i
-        xl, xr = sorted((xpos[mg.left], xpos[mg.right]))
-        xpos[node] = (xpos[mg.left] + xpos[mg.right]) / 2
-        yl = heights[mg.left] if xpos[mg.left] < xpos[mg.right] else heights[mg.right]
-        yr = heights[mg.right] if xpos[mg.left] < xpos[mg.right] else heights[mg.left]
-        bars.append(
-            f'<path d="M {_num(xl)} {_num(yl)} L {_num(xl)} {_num(mg.height)}'
-            f' L {_num(xr)} {_num(mg.height)} L {_num(xr)} {_num(yr)}"'
-            f' fill="none" stroke="#333333" stroke-width="1.2"'
-            f' vector-effect="non-scaling-stroke"/>'
-        )
-
     canvas = SvgCanvas(width, height)
     transform = (
         f'translate({_num(ml)},{_num(mt + ph)}) scale({_num(sx)},-{_num(sy)})'
     )
     canvas.add(f'<g transform="{transform}">')
-    for bar in bars:
-        canvas.add(bar)
+    xpos = [0.0] * (2 * m - 1)
+    for slot, leaf in enumerate(order):
+        xpos[leaf] = slot + 0.5
+    heights = [0.0] * m + [mg.height for mg in dend.merges]
+    for i, mg in enumerate(dend.merges):
+        # Sibling subtrees hold disjoint leaf slots, so their x never tie.
+        (xl, yl), (xr, yr) = sorted(((xpos[mg.left], heights[mg.left]),
+                                     (xpos[mg.right], heights[mg.right])))
+        xpos[m + i] = (xl + xr) / 2
+        canvas.add(
+            f'<path d="M {_num(xl)} {_num(yl)} L {_num(xl)} {_num(mg.height)}'
+            f' L {_num(xr)} {_num(mg.height)} L {_num(xr)} {_num(yr)}"'
+            f' fill="none" stroke="#333333" stroke-width="1.2"'
+            f' vector-effect="non-scaling-stroke"/>'
+        )
     canvas.add("</g>")
     # y axis in pixel space
     canvas.line(ml, mt, ml, mt + ph)
     for tick in _nice_ticks(0.0, top):
         ypix = mt + ph - tick * sy
         canvas.line(ml - 4, ypix, ml, ypix)
-        canvas.text(ml - 7, ypix + 4, _tick_label(tick), anchor="end")
+        canvas.text(ml - 7, ypix + 4, f"{tick:g}", anchor="end")
     canvas.text(14, mt + ph / 2, "merge height", anchor="middle",
                 extra=f' transform="rotate(-90 14 {_num(mt + ph / 2)})"')
     # leaf labels

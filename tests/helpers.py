@@ -5,7 +5,8 @@ and integral distances are re-derived by midpoint quadrature on a fine
 grid and, exactly, by a per-pair copy of the earlier distance code,
 clustering by a plain-Python agglomerative loop over member lists and by
 the earlier blockwise library clustering,
-and Newick strings by a tiny recursive-descent parser.
+flat cuts by the earlier union-find cut, SVG point strings by the earlier
+per-point plot code, and Newick strings by a tiny recursive-descent parser.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import Counter
 import numpy as np
 
 from leafclust import CcdSequence, StepDensity, TWO_PI
+from leafclust.hcluster import _format_length as _num
 
 PANELS = 10**6
 
@@ -254,6 +256,90 @@ def merge_leaf_sets(m: int, merges) -> list[frozenset]:
     for left, right, _height, _size in merges:
         sets.append(sets[left] | sets[right])
     return sets[m:]
+
+
+def cut_union_find(dend, k: int) -> list[int]:
+    """The earlier library cut, kept as an oracle: union-find over the
+    first m-k merges, components numbered by their smallest leaf."""
+    m = dend.n_leaves
+    parent = list(range(2 * m - 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, mg in enumerate(dend.merges[: m - k]):
+        node = m + i
+        parent[find(mg.left)] = node
+        parent[find(mg.right)] = node
+
+    roots: dict[int, list[int]] = {}
+    for leaf in range(m):
+        roots.setdefault(find(leaf), []).append(leaf)
+    components = sorted(roots.values(), key=min)
+    assignment = [0] * m
+    for cluster_id, leaves in enumerate(components):
+        for leaf in leaves:
+            assignment[leaf] = cluster_id
+    return assignment
+
+
+# ---------------------------------------------------------------------------
+# SVG point strings (the earlier per-point plot code)
+
+def _point_string(points) -> str:
+    return " ".join(f"{_num(x)},{_num(y)}" for x, y in points)
+
+
+def density_point_strings(densities) -> list[str]:
+    """``points`` of each ``plot_densities`` polyline, corner by corner."""
+    width, height = 640.0, 420.0
+    ml, mr, mt, mb = 56.0, 16.0, 30.0, 42.0
+    pw, ph = width - ml - mr, height - mt - mb
+    ymax = max(float(d.heights.max()) for d in densities)
+    if ymax <= 0:
+        ymax = 1.0
+    ymax *= 1.05
+
+    def px(t):
+        return ml + (t / TWO_PI) * pw
+
+    def py(h):
+        return mt + ph - (h / ymax) * ph
+
+    out = []
+    for d in densities:
+        b, h = d.breakpoints, d.heights
+        points = []
+        for k in range(h.size):
+            points.append((px(b[k]), py(h[k])))
+            points.append((px(b[k + 1]), py(h[k])))
+        out.append(_point_string(points))
+    return out
+
+
+def leaf_point_strings(outlines) -> list[str]:
+    """``points`` of each ``plot_leaves`` polygon, vertex by vertex."""
+    ncols = max(1, math.ceil(math.sqrt(len(outlines))))
+    cell, pad, title_h = 150.0, 10.0, 16.0
+    out = []
+    for idx, outline in enumerate(outlines):
+        row, col = divmod(idx, ncols)
+        ox = col * cell
+        oy = row * (cell + title_h) + title_h
+        pts = outline.points
+        cx = (float(pts[:, 0].min()) + float(pts[:, 0].max())) / 2
+        cy = (float(pts[:, 1].min()) + float(pts[:, 1].max())) / 2
+        span = max(float(pts[:, 0].max() - pts[:, 0].min()),
+                   float(pts[:, 1].max() - pts[:, 1].min()), 1e-12)
+        scale = (cell - 2 * pad) / span
+        out.append(_point_string([
+            (ox + cell / 2 + (x - cx) * scale, oy + cell / 2 - (y - cy) * scale)
+            for x, y in pts
+        ]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,7 @@ EXIT_CODES = [
     _config_case("distance = foo"),
     _config_case("format = xml", command="densify"),
     _config_case("no_plots = maybe"),
+    _config_case("linkge = single"),
     _case("read-dataset", 1, "pipeline --input {d}/nope.csv --outdir {d}/out"),
     _case("read-densities", 1,
           "distmat --input {d}/four.json --format densities --outdir {d}/out"),
@@ -190,11 +191,11 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, fou
         monkeypatch.setattr(cli, broken, _fail)
     if config is not None:
         (d / "run.cfg").write_text(config + "\n")
-    before = sorted(p for p in d.rglob("*") if p.is_file())
+    before = sorted(d.rglob("*"))
     assert main(argv.format(d=d).split()) == code
     assert f"leafclust: error [{stage}] " in capsys.readouterr().err
     if stage in ("config", "write"):
-        assert sorted(p for p in d.rglob("*") if p.is_file()) == before
+        assert sorted(d.rglob("*")) == before
 
 
 class TestStagewiseCommands:
@@ -261,6 +262,20 @@ class TestConfigFile:
         cfg.write_text("# run\nlinkage = ward\n")
         assert run("cluster", "--config", cfg) == 1
         assert f"[config] {cfg}:2: linkage: invalid choice 'ward'" in capsys.readouterr().err
+
+    def test_unknown_key_names_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("linkage = single\nlinkge = single\n")
+        assert run("cluster", "--config", cfg) == 1
+        assert f"[config] {cfg}:2: unknown option 'linkge'" in capsys.readouterr().err
+
+    def test_options_of_other_subcommands_are_accepted(self, four_leaf_json, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"seed = 3\noutput = s.json\ndendrogram = d.json\noutdir = {out}\n")
+        assert run("densify", "--input", four_leaf_json, "--format", "json",
+                   "--config", cfg) == 0
+        assert (out / "densities.json").exists()
 
     @settings(max_examples=300, derandomize=True, database=None)
     @given(key=st.sampled_from(sorted(k for k, (_, spec) in cli._OPTIONS.items()

@@ -274,6 +274,15 @@ class TestCut:
             firsts.setdefault(cluster_id, leaf)
         assert sorted(firsts) == list(firsts)
 
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    def test_equals_the_union_find_oracle_for_every_k(self, linkage):
+        rng = np.random.default_rng(27)
+        for m in (2, 3, 7, 16, 33):
+            for _ in range(4):
+                dend = agglomerate(random_matrix(rng, m), linkage)
+                for k in range(1, m + 1):
+                    assert cut(dend, k) == helpers.cut_union_find(dend, k)
+
 
 class TestNewick:
     def test_two_leaves(self):

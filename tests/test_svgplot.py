@@ -146,6 +146,39 @@ class TestPlotDendrogram:
         assert texts[-3:] == ["A", "B", "C"]
 
 
+def _density_case(name):
+    if name == "uniform":
+        return [density_from_ccd(CcdSequence("u", np.ones(4)))]
+    if name == "two-values":
+        return [density_from_ccd(CcdSequence("t", np.array([1.0, 3.0])))]
+    rng = np.random.default_rng(43)
+    return [normalize_leaf(helpers.directional_ccd(rng, (30, 400), f"s{i}")) for i in range(6)]
+
+
+class TestPointStringsMatchPerPointOracle:
+    """Every point string equals the earlier per-point code's, byte for byte."""
+
+    @staticmethod
+    def point_strings(path, tag):
+        return [e.get("points") for e in svg_root(path).findall(f"{SVG}{tag}")]
+
+    @pytest.mark.parametrize("case", ["uniform", "two-values", "normalized"])
+    def test_density_polylines(self, case, tmp_path):
+        densities = _density_case(case)
+        plot_densities(densities, tmp_path / "d.svg")
+        assert self.point_strings(tmp_path / "d.svg", "polyline") == \
+            helpers.density_point_strings(densities)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_leaf_polygons(self, rotated, tmp_path):
+        rng = np.random.default_rng(44)
+        outlines = [leaf_outline(helpers.directional_ccd(rng, (20, 300), f"L{i}"),
+                                 rotated=rotated) for i in range(10)]
+        plot_leaves(outlines, tmp_path / "leaves.svg")
+        assert self.point_strings(tmp_path / "leaves.svg", "polygon") == \
+            helpers.leaf_point_strings(outlines)
+
+
 class TestWellFormedAndDeterministic:
     def test_all_plots_parse_and_are_stable(self, tmp_path):
         rng = np.random.default_rng(41)
