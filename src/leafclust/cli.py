@@ -9,6 +9,7 @@ defaults.  Exit codes: 0 success, 1 input error, 2 computation error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -117,6 +118,9 @@ class Options:
         r = self.get("r")
         if r < 1:
             raise StageError("config", f"moment order r must be >= 1, got {r}", 1)
+        k = self.get("cut")
+        if k is not None and k < 1:
+            raise StageError("config", f"cut must be >= 1, got {k}", 1)
 
     def get(self, key: str):
         if key in self._flags:
@@ -158,10 +162,20 @@ def _outdir(opts: Options) -> Path:
 
 @contextmanager
 def _writing(path: Path):
-    """Run the write of artifact ``path`` as the ``write`` stage, then report it."""
+    """Run the write of artifact ``path`` as the ``write`` stage, then report it.
+
+    A reader that has closed stdout stops the reports, not the run: after a
+    broken pipe stdout points at the null device, so later lines and the
+    flush at exit go nowhere instead of failing.
+    """
     with _stage("write", 1):
         yield
-    print(f"wrote {path}")
+    try:
+        print(f"wrote {path}", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------

@@ -210,10 +210,8 @@ def trig_moments(d: StepDensity, r: int) -> TrigMoments:
         alpha(p) = sum_k h_k (sin(p t_k) - sin(p t_{k-1})) / p
         beta(p)  = sum_k h_k (cos(p t_{k-1}) - cos(p t_k)) / p
 
-    with no quadrature involved.
+    with no quadrature involved.  ``TrigMoments`` rejects an order r < 1.
     """
-    if r < 1:
-        raise InvalidCcdError("moment order r must be >= 1")
     p = np.arange(1, r + 1)
     pb = p[:, None] * d.breakpoints  # row p-1 holds p * t_k
     sin_b, cos_b = np.sin(pb), np.cos(pb)

@@ -81,14 +81,25 @@ def merge_breakpoints(f: StepDensity, g: StepDensity):
     """Common refinement of two step densities.
 
     Returns ``(breaks, fh, gh)`` where ``breaks`` is the sorted union of
-    both breakpoint sets and ``fh[k]``/``gh[k]`` are the (constant) values
-    of f and g on (``breaks[k]``, ``breaks[k+1]``].
+    both breakpoint sets, a breakpoint that f and g share listed once, and
+    ``fh[k]``/``gh[k]`` are the (constant) values of f and g on
+    (``breaks[k]``, ``breaks[k+1]``].
+
+    The merge is linear and searches nothing: a stable sort of the two
+    sorted arrays is one timsort merge of two runs, and a running count of
+    the entries that came from f gives each merged interval's height index
+    in f; the rest of the entries up to that point came from g.
     """
-    breaks = np.union1d(f.breakpoints, g.breakpoints)
-    right = breaks[1:]
-    fh = f.heights[np.searchsorted(f.breakpoints, right, side="left") - 1]
-    gh = g.heights[np.searchsorted(g.breakpoints, right, side="left") - 1]
-    return breaks, fh, gh
+    fb = f.breakpoints
+    both = np.concatenate((fb, g.breakpoints))
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    # Left ends of the merged intervals: the last copy of each value but 2*pi.
+    # Of a breakpoint f and g share that is g's copy (the sort is stable), so
+    # the counts up to it include both copies.
+    left = np.flatnonzero(merged[1:] != merged[:-1])
+    f_count = np.cumsum(order < fb.size)[left]
+    return np.append(merged[left], merged[-1]), f.heights[f_count - 1], g.heights[left - f_count]
 
 
 # Reducers of the common refinement, one per integral distance.

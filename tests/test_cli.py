@@ -1,5 +1,8 @@
 import argparse
+import errno
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +128,47 @@ class TestPipelineCommand:
         assert run("pipeline", "--input", data, "--format", "json", "--distance", "all",
                    "--outdir", tmp_path / "out") == 0
 
+    def test_closed_stdout_stops_the_lines_not_the_run(self, four_leaf_json, tmp_path,
+                                                       monkeypatch, capsys):
+        argv = ("pipeline", "--input", four_leaf_json, "--format", "json",
+                "--distance", "all", "--cut", 2, "--outdir")
+        opened, closed = tmp_path / "open", tmp_path / "closed"
+        assert run(*argv, opened) == 0
+        capsys.readouterr()
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        pipe = _ClosedPipe(fd)
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(sys, "stdout", pipe)
+                assert run(*argv, closed) == 0
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert pipe.writes > 0
+        assert capsys.readouterr().err == ""
+        names = sorted(p.name for p in opened.iterdir())
+        assert sorted(p.name for p in closed.iterdir()) == names
+        for name in names:
+            assert (opened / name).read_bytes() == (closed / name).read_bytes(), name
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write fails as a closed pipe does."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
 
 def _fail(*args, **kwargs):
     raise InvalidCcdError("injected failure")
@@ -159,6 +203,10 @@ EXIT_CODES = [
     _config_case("format = xml", command="densify"),
     _config_case("no_plots = maybe"),
     _config_case("linkge = single"),
+    _case("config", 1, "pipeline --input {d}/four.json --format json --distance l1 --cut 0 "
+                       "--outdir {d}/out", name="config-cut"),
+    _config_case("cut = 0"),
+    _config_case("cut = -3", command="cluster"),
     _case("read-dataset", 1, "pipeline --input {d}/nope.csv --outdir {d}/out"),
     _case("read-densities", 1,
           "distmat --input {d}/four.json --format densities --outdir {d}/out"),

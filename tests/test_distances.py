@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from leafclust import (
@@ -10,6 +11,7 @@ from leafclust import (
     DistanceKind,
     DistanceMatrix,
     DistanceTag,
+    StepDensity,
     density_from_ccd,
     dist_hellinger_sq,
     dist_l1,
@@ -36,6 +38,46 @@ ALL_KINDS = [
     DistanceKind(DistanceTag.HELLINGER_SQ),
     DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, 5),
 ]
+
+
+SINGLE = StepDensity(np.array([0.0, TWO_PI]), np.array([1.0 / TWO_PI]))
+
+
+@st.composite
+def grid_density(draw, n):
+    """A density on the uniform grid of n intervals (n = 1: ``SINGLE``)."""
+    if n == 1:
+        return SINGLE
+    values = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)
+                  .filter(lambda v: any(v)))
+    return density_from_ccd(CcdSequence("grid", np.array(values, dtype=float)))
+
+
+@st.composite
+def sharing_pairs(draw):
+    """Two densities whose breakpoints coincide, or miss by one ulp, often.
+
+    g is f itself, f's grid refined k times, the one-interval density, or a
+    rotation of f or of the refined grid by a shift that puts the shift
+    itself, or one of the rotated breakpoints, on or one ulp beside a
+    breakpoint of the other density.
+    """
+    n = draw(st.integers(1, 24))
+    f = draw(grid_density(n))
+    how = draw(st.sampled_from(["same", "nested", "single", "rotated"]))
+    if how == "same":
+        return f, f
+    if how == "single":
+        return f, SINGLE
+    g = draw(grid_density(n * draw(st.integers(2, 5))))
+    if how == "nested":
+        return f, g
+    turned, other = draw(st.permutations([f, g]))
+    t = draw(st.sampled_from(other.breakpoints[1:-1].tolist() or [math.pi]))
+    b = draw(st.sampled_from(turned.breakpoints[1:-1].tolist() or [math.pi]))
+    shift = draw(st.sampled_from([t, b - t]))
+    shift = np.nextafter(shift, draw(st.sampled_from([-np.inf, shift, np.inf])))
+    return rotate_density(turned, float(shift)), other
 
 
 class TestMergeBreakpoints:
@@ -65,6 +107,15 @@ class TestMergeBreakpoints:
             idx = np.searchsorted(breaks, probes, side="left") - 1
             np.testing.assert_array_equal(f.evaluate(probes), fh[idx])
             np.testing.assert_array_equal(g.evaluate(probes), gh[idx])
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(pair=sharing_pairs())
+    def test_equals_union_and_search_oracle(self, pair):
+        for f, g in (pair, pair[::-1]):
+            got = merge_breakpoints(f, g)
+            want = helpers.merge_breakpoints(f, g)
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestWorkedValues:
