@@ -141,11 +141,19 @@ def _kinds_for(name: str, r: int) -> list[DistanceKind]:
     return [DistanceKind(tag, r) for tag in tags]
 
 
-def _load_dataset(opts: Options) -> dataio.Dataset:
+def _load_dataset(opts: Options, min_leaves: int = 1) -> dataio.Dataset:
     path = opts.require("input")
     fmt = opts.get("format")
     with _stage("read-dataset", 1):
-        return dataio.read_dataset(path, fmt)
+        dataset = dataio.read_dataset(path, fmt)
+        _require_leaves(path, len(dataset.sequences), min_leaves)
+    return dataset
+
+
+def _require_leaves(path, count: int, min_leaves: int) -> None:
+    """Reject an input too small for the subcommand while it is being read."""
+    if count < min_leaves:
+        raise ValueError(f"{path}: distances need at least {min_leaves} leaves, found {count}")
 
 
 def _normalize_all(dataset: dataio.Dataset):
@@ -208,8 +216,10 @@ def _densities_for_distmat(opts: Options):
     if fmt == "densities":
         path = opts.require("input")
         with _stage("read-densities", 1):
-            return dataio.read_densities(path)
-    return _normalize_all(_load_dataset(opts))
+            densities = dataio.read_densities(path)
+            _require_leaves(path, len(densities), 2)
+        return densities
+    return _normalize_all(_load_dataset(opts, min_leaves=2))
 
 
 def _distance_stage(opts: Options, densities, out: Path):
@@ -301,7 +311,7 @@ def _plot_dataset(dataset: dataio.Dataset, out: Path) -> None:
 
 
 def cmd_pipeline(opts: Options) -> int:
-    dataset = _load_dataset(opts)
+    dataset = _load_dataset(opts, min_leaves=2)
     out = _outdir(opts)
     densities = _normalize_all(dataset)
     linkage = opts.get("linkage")

@@ -165,7 +165,7 @@ def _read_dataset_json(path: Path) -> Dataset:
 def _write_dataset_json(dataset: Dataset, path: Path) -> None:
     if "groups" in dataset.ids:
         raise DataFormatError("id 'groups' clashes with the reserved JSON key")
-    doc: dict = {seq.id: [float(v) for v in seq.values] for seq in dataset.sequences}
+    doc: dict = {seq.id: seq.values for seq in dataset.sequences}
     if dataset.groups is not None:
         doc["groups"] = {i: dataset.groups[i] for i in dataset.ids if i in dataset.groups}
     _dump_json(doc, path)
@@ -181,8 +181,36 @@ def _load_json(path: Path):
 
 def _dump_json(doc, path: Path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(_json_text(doc, "") + "\n")
+
+
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=1)`` for a value nested ``indent`` deep.
+
+    ``json.dumps`` runs the C encoder only without ``indent``, so dicts and
+    lists are laid out here, and scalars and keys go through ``json.dumps``.
+    A 1-D numeric array is encoded whole by the C encoder; its ", "
+    separators become the indented line breaks, which is safe because the
+    repr of a number never contains ", ".
+    """
+    inner = indent + " "
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            return "[]"
+        items = json.dumps(value.tolist())[1:-1].replace(", ", ",\n" + inner)
+        return "[\n" + inner + items + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(v, inner)}"
+                            for k, v in value.items())
+        return "{\n" + items + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(inner + _json_text(v, inner) for v in value)
+        return "[\n" + items + "\n" + indent + "]"
+    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +229,7 @@ def write_matrix(dm: DistanceMatrix, path, fmt: str = "csv") -> None:
         doc = {
             "labels": list(dm.labels),
             "kind": {"tag": dm.kind.name, "moment_order": dm.kind.moment_order},
-            "entries": [[float(v) for v in row] for row in dm.entries],
+            "entries": list(dm.entries),
         }
         _dump_json(doc, path)
     else:
@@ -294,8 +322,8 @@ def write_densities(densities, path) -> None:
     doc = {
         "densities": {
             d.source_id: {
-                "breakpoints": [float(b) for b in d.breakpoints],
-                "heights": [float(h) for h in d.heights],
+                "breakpoints": d.breakpoints,
+                "heights": d.heights,
                 "rotation": float(d.rotation),
                 "direction_defined": bool(d.direction_defined),
             }

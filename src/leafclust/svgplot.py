@@ -4,6 +4,11 @@ Everything is emitted as plain SVG 1.1 text with no timestamps, random ids
 or library fingerprints, so identical inputs always produce byte-identical
 files and snapshot tests need no image comparison.
 
+Polyline and polygon vertices (density steps and leaf outlines) are
+written with five fixed decimals, i.e. to 1e-5 px, far below what any
+display resolves.  Every other number is written as its shortest
+round-trip repr.
+
 Dendrograms are drawn inside a group whose transform maps data space to
 pixels; the path coordinates inside it are the raw data values, so the
 vertical coordinate of every horizontal merge bar equals that merge's
@@ -58,8 +63,8 @@ class SvgCanvas:
         )
 
     def shape(self, tag, xs, ys, stroke, width, fill="none", dash="none") -> None:
-        """A ``<polyline>`` or ``<polygon>`` through the points (xs[i], ys[i])."""
-        data = " ".join(map("{},{}".format, map(_num, xs.tolist()), map(_num, ys.tolist())))
+        """A ``<polyline>`` or ``<polygon>`` through the points (xs[i], ys[i]), to 1e-5 px."""
+        data = " ".join(map("{:.5f},{:.5f}".format, xs.tolist(), ys.tolist()))
         self.add(
             f'<{tag} points="{data}" fill="{fill}" stroke="{stroke}"'
             f' stroke-width="{_num(width)}"{_dash(dash)}/>'

@@ -17,7 +17,6 @@ from collections import Counter
 import numpy as np
 
 from leafclust import CcdSequence, StepDensity, TWO_PI
-from leafclust.hcluster import _format_length as _num
 
 PANELS = 10**6
 
@@ -290,11 +289,21 @@ def cut_union_find(dend, k: int) -> list[int]:
 # SVG point strings (the earlier per-point plot code)
 
 def _point_string(points) -> str:
-    return " ".join(f"{_num(x)},{_num(y)}" for x, y in points)
+    return " ".join(f"{x:.5f},{y:.5f}" for x, y in points)
 
 
 def density_point_strings(densities) -> list[str]:
     """``points`` of each ``plot_densities`` polyline, corner by corner."""
+    return [_point_string(points) for points in density_points(densities)]
+
+
+def leaf_point_strings(outlines) -> list[str]:
+    """``points`` of each ``plot_leaves`` polygon, vertex by vertex."""
+    return [_point_string(points) for points in leaf_points(outlines)]
+
+
+def density_points(densities) -> list[list[tuple[float, float]]]:
+    """Exact pixel corners of each ``plot_densities`` polyline."""
     width, height = 640.0, 420.0
     ml, mr, mt, mb = 56.0, 16.0, 30.0, 42.0
     pw, ph = width - ml - mr, height - mt - mb
@@ -316,12 +325,12 @@ def density_point_strings(densities) -> list[str]:
         for k in range(h.size):
             points.append((px(b[k]), py(h[k])))
             points.append((px(b[k + 1]), py(h[k])))
-        out.append(_point_string(points))
+        out.append(points)
     return out
 
 
-def leaf_point_strings(outlines) -> list[str]:
-    """``points`` of each ``plot_leaves`` polygon, vertex by vertex."""
+def leaf_points(outlines) -> list[list[tuple[float, float]]]:
+    """Exact pixel vertices of each ``plot_leaves`` polygon."""
     ncols = max(1, math.ceil(math.sqrt(len(outlines))))
     cell, pad, title_h = 150.0, 10.0, 16.0
     out = []
@@ -335,10 +344,10 @@ def leaf_point_strings(outlines) -> list[str]:
         span = max(float(pts[:, 0].max() - pts[:, 0].min()),
                    float(pts[:, 1].max() - pts[:, 1].min()), 1e-12)
         scale = (cell - 2 * pad) / span
-        out.append(_point_string([
+        out.append([
             (ox + cell / 2 + (x - cx) * scale, oy + cell / 2 - (y - cy) * scale)
             for x, y in pts
-        ]))
+        ])
     return out
 
 

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from leafclust import Dataset, InvalidCcdError, read_dataset, write_dataset
+from leafclust import (
+    CcdSequence, Dataset, InvalidCcdError, normalize_leaf, read_dataset, write_dataset,
+    write_densities,
+)
 from leafclust import cli
 from leafclust.cli import main
 
@@ -210,6 +213,13 @@ EXIT_CODES = [
     _case("read-dataset", 1, "pipeline --input {d}/nope.csv --outdir {d}/out"),
     _case("read-densities", 1,
           "distmat --input {d}/four.json --format densities --outdir {d}/out"),
+    _case("read-dataset", 1, "pipeline --input {d}/one.csv --outdir {d}/out",
+          name="read-dataset-one-leaf-pipeline"),
+    _case("read-dataset", 1, "distmat --input {d}/one.csv --outdir {d}/out",
+          name="read-dataset-one-leaf-distmat"),
+    _case("read-densities", 1,
+          "distmat --input {d}/one.densities.json --format densities --outdir {d}/out",
+          name="read-densities-one-leaf"),
     _case("read-matrix", 1, "cluster --input {d}/nope.csv --outdir {d}/out"),
     _case("read-dendrogram", 1,
           "plot --input {d}/four.json --format json --dendrogram {d}/nope.json --outdir {d}/out"),
@@ -235,6 +245,7 @@ EXIT_CODES = [
 def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, four_leaf_json,
                                           monkeypatch, capsys):
     d = four_leaf_json.parent
+    _write_one_leaf_inputs(d)
     if broken is not None:
         monkeypatch.setattr(cli, broken, _fail)
     if config is not None:
@@ -242,8 +253,25 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, fou
     before = sorted(d.rglob("*"))
     assert main(argv.format(d=d).split()) == code
     assert f"leafclust: error [{stage}] " in capsys.readouterr().err
-    if stage in ("config", "write"):
+    if stage in ("config", "write", "read-dataset", "read-densities"):
         assert sorted(d.rglob("*")) == before
+
+
+def _write_one_leaf_inputs(d):
+    """``one.csv`` and ``one.densities.json``: a dataset and its densities, one leaf each."""
+    (d / "one.csv").write_text("id,value\na,1\na,2\na,4\n")
+    write_densities([normalize_leaf(CcdSequence("a", [1.0, 2.0, 4.0]))],
+                    d / "one.densities.json")
+
+
+def test_one_leaf_densifies_and_plots(tmp_path):
+    _write_one_leaf_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert run("densify", "--input", tmp_path / "one.csv", "--outdir", out) == 0
+    assert run("plot", "--input", tmp_path / "one.csv", "--outdir", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "densities.json", "densities_normalized.svg", "densities_unrotated.svg",
+        "leaves_rotated.svg", "leaves_unrotated.svg"]
 
 
 class TestStagewiseCommands:

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from leafclust import (
@@ -22,6 +25,7 @@ from leafclust import (
     write_densities,
     write_matrix,
 )
+from leafclust.dataio import _json_text
 
 
 def random_dataset(rng, m=6):
@@ -232,3 +236,32 @@ class TestDeterminism:
             writer(p1)
             writer(p2)
             assert p1.read_bytes() == p2.read_bytes(), name
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+_STRINGS = st.text() | st.sampled_from(["a, b", ", ", "blatt, größe", "葉, 形"])
+_FLOAT_ARRAYS = st.lists(_FLOATS, max_size=6).map(lambda xs: np.array(xs, dtype=float))
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS | _FLOAT_ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _plain(value):
+    """``value`` with every array turned into a list, as ``json.dumps`` needs."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+class TestJsonText:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_DOCS)
+    def test_equals_indented_json_dumps(self, doc):
+        assert _json_text(doc, "") == json.dumps(_plain(doc), indent=1)

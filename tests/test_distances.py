@@ -273,6 +273,29 @@ class TestPerPairOracle:
         np.testing.assert_array_equal(
             dm.entries, helpers.pairwise_matrix(densities, tag.value, r))
 
+    @staticmethod
+    def _shared_breakpoints():
+        """Densities that share interior breakpoints, as real traces do.
+
+        Unrotated grids of n, 2n and 3n arcs share every breakpoint of the
+        coarser grid that rounds alike, and rotating a density onto one of
+        its own breakpoints leaves its first and last heights unequal.
+        """
+        rng = np.random.default_rng(45)
+        densities = [density_from_ccd(helpers.directional_ccd(rng, (k * 60, k * 60), f"n{k}"))
+                     for k in (1, 2, 3)]
+        d = density_from_ccd(helpers.directional_ccd(rng, (60, 60), "onto"))
+        densities.append(rotate_density(d, float(d.breakpoints[17])))
+        return densities
+
+    @pytest.mark.parametrize("tag", list(DistanceTag), ids=lambda t: t.value)
+    def test_shared_breakpoints_equal_per_pair_code(self, tag):
+        densities = self._shared_breakpoints()
+        labels = [d.source_id for d in densities]
+        dm = distance_matrix(densities, labels, DistanceKind(tag))
+        np.testing.assert_array_equal(
+            dm.entries, helpers.pairwise_matrix(densities, tag.value, 5))
+
     @pytest.mark.parametrize("r", [1, 2, 5, 10])
     def test_trig_moments_equal_per_order_loop(self, r):
         for d in self._normalized(3):

@@ -179,6 +179,41 @@ class TestPointStringsMatchPerPointOracle:
             helpers.leaf_point_strings(outlines)
 
 
+def _leaf_case(rotated):
+    rng = np.random.default_rng(44)
+    return [leaf_outline(helpers.directional_ccd(rng, (20, 300), f"L{i}"), rotated=rotated)
+            for i in range(10)]
+
+
+class TestPointsParseBackToExactCoordinates:
+    """Five fixed decimals put every vertex within half a unit of 1e-5 px."""
+
+    BOUND = 5e-6 + 1e-12  # half the last decimal, plus the parse's own rounding
+
+    @classmethod
+    def assert_close(cls, path, tag, exact):
+        shapes = svg_root(path).findall(f"{SVG}{tag}")
+        assert len(shapes) == len(exact)
+        for shape, points in zip(shapes, exact):
+            got = np.array([[float(v) for v in p.split(",")]
+                            for p in shape.get("points").split()])
+            want = np.array(points, dtype=float)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= cls.BOUND
+
+    @pytest.mark.parametrize("case", ["uniform", "two-values", "normalized"])
+    def test_density_polylines(self, case, tmp_path):
+        densities = _density_case(case)
+        plot_densities(densities, tmp_path / "d.svg")
+        self.assert_close(tmp_path / "d.svg", "polyline", helpers.density_points(densities))
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_leaf_polygons(self, rotated, tmp_path):
+        outlines = _leaf_case(rotated)
+        plot_leaves(outlines, tmp_path / "leaves.svg")
+        self.assert_close(tmp_path / "leaves.svg", "polygon", helpers.leaf_points(outlines))
+
+
 class TestWellFormedAndDeterministic:
     def test_all_plots_parse_and_are_stable(self, tmp_path):
         rng = np.random.default_rng(41)
