@@ -276,12 +276,13 @@ def _write_tree(dend: Dendrogram, out: Path, stem: str, opts: Options) -> None:
 
 def cmd_plot(opts: Options) -> int:
     dataset = _load_dataset(opts)
-    out = _outdir(opts)
-    _plot_dataset(dataset, out)
-    dend_path = opts.get("dendrogram")
-    if dend_path is not None:
+    dend_path, dend = opts.get("dendrogram"), None
+    if dend_path is not None:  # read before any SVG is written
         with _stage("read-dendrogram", 1):
             dend = dataio.read_dendrogram(dend_path)
+    out = _outdir(opts)
+    _plot_dataset(dataset, out)
+    if dend is not None:
         path = out / "dendrogram.svg"
         with _writing(path):
             svgplot.plot_dendrogram(dend, path)

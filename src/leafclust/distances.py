@@ -127,7 +127,11 @@ _KERNELS[DistanceTag.MOMENT_EUCLIDEAN] = (
 
 
 def dist_l1(f: StepDensity, g: StepDensity) -> float:
-    """D1: integral of |f - g| over the circle.  Lies in [0, 2]."""
+    """D1: integral of |f - g| over the circle.
+
+    Lies in [0, 2] up to the rounding of the unit masses: two disjoint
+    subnormal traces give 2.000000000000001.
+    """
     return pair_distance(f, g, DistanceKind(DistanceTag.L1))
 
 
@@ -140,7 +144,8 @@ def dist_hellinger_sq(f: StepDensity, g: StepDensity) -> float:
     """D3: integral of (sqrt(f) - sqrt(g))^2, i.e. 2 - 2*int(sqrt(fg)).
 
     This is the squared Hellinger-style integral without a 1/2 factor, so
-    it ranges over [0, 2] and is not guaranteed to satisfy the triangle
+    it ranges over [0, 2] up to the rounding of the unit masses (as for
+    :func:`dist_l1`) and is not guaranteed to satisfy the triangle
     inequality.
     """
     return pair_distance(f, g, DistanceKind(DistanceTag.HELLINGER_SQ))

@@ -64,7 +64,8 @@ class SvgCanvas:
 
     def shape(self, tag, xs, ys, stroke, width, fill="none", dash="none") -> None:
         """A ``<polyline>`` or ``<polygon>`` through the points (xs[i], ys[i]), to 1e-5 px."""
-        data = " ".join(map("{:.5f},{:.5f}".format, xs.tolist(), ys.tolist()))
+        xy = np.column_stack((xs, ys)).ravel().tolist()
+        data = ("%.5f,%.5f " * len(xs) % tuple(xy))[:-1]
         self.add(
             f'<{tag} points="{data}" fill="{fill}" stroke="{stroke}"'
             f' stroke-width="{_num(width)}"{_dash(dash)}/>'

@@ -6,17 +6,19 @@ grid and, exactly, by a per-pair copy of the earlier distance code,
 clustering by a plain-Python agglomerative loop over member lists and by
 the earlier blockwise library clustering,
 flat cuts by the earlier union-find cut, SVG point strings by the earlier
-per-point plot code, and Newick strings by a tiny recursive-descent parser.
+per-point plot code, long-CSV datasets by the earlier row-by-row reader, and
+Newick strings by a tiny recursive-descent parser.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 
 import numpy as np
 
-from leafclust import CcdSequence, StepDensity, TWO_PI
+from leafclust import CcdSequence, DataFormatError, Dataset, StepDensity, TWO_PI
 
 PANELS = 10**6
 
@@ -436,6 +438,57 @@ def newick_node_heights(tree) -> dict[frozenset, float]:
     root_leaves = walk(tree, 0.0)
     total = leaf_depth[0]
     return {leaves: total - depth for leaves, depth in depths.items()}, root_leaves
+
+
+# ---------------------------------------------------------------------------
+# long-CSV datasets (the earlier row-by-row reader)
+
+def read_dataset_csv_rows(path, number=float) -> Dataset:
+    """A long-CSV dataset read record by record with ``csv`` and ``number``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file") from None
+        if [c.strip() for c in header] != ["id", "value"]:
+            raise DataFormatError(f"{path}: expected header 'id,value', got {header}")
+        order: list[str] = []
+        values: dict[str, list[float]] = {}
+        finished: set[str] = set()
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataFormatError(f"{path}: row {row_no}: expected 2 columns")
+            seq_id, raw = row[0], row[1]
+            if seq_id in finished:
+                raise DataFormatError(
+                    f"{path}: row {row_no}: rows for id {seq_id!r} are not contiguous"
+                )
+            if seq_id not in values:
+                if order:
+                    finished.add(order[-1])
+                order.append(seq_id)
+                values[seq_id] = []
+            try:
+                value = number(raw)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: row {row_no}: bad number {raw!r} for id {seq_id!r}"
+                ) from None
+            if value < 0:
+                raise DataFormatError(
+                    f"{path}: row {row_no}: negative CCD value for id {seq_id!r}"
+                )
+            values[seq_id].append(value)
+    sequences = []
+    for seq_id in order:
+        try:
+            sequences.append(CcdSequence(seq_id, values[seq_id]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+    return Dataset(tuple(sequences))
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,8 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, fou
     before = sorted(d.rglob("*"))
     assert main(argv.format(d=d).split()) == code
     assert f"leafclust: error [{stage}] " in capsys.readouterr().err
-    if stage in ("config", "write", "read-dataset", "read-densities"):
+    if stage in ("config", "write", "read-dataset", "read-densities", "read-matrix",
+                 "read-dendrogram"):
         assert sorted(d.rglob("*")) == before
 
 

@@ -1,4 +1,6 @@
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from leafclust import (
     write_densities,
     write_matrix,
 )
+from leafclust import dataio
 from leafclust.dataio import _json_text
 
 
@@ -82,6 +85,122 @@ class TestDatasetCsv:
         path.write_text("id,value\na,1\na,2\nb,1\nb,2\na,3\n")
         with pytest.raises(DataFormatError, match="contiguous"):
             read_dataset(path, "csv")
+
+
+_IDS = st.sampled_from(["a", "b", "c", "leaf 1", " a", "", "a,b", 'say "hi"', "x\ny",
+                        "x\r\ny", "\r", "葉", "a\x00", "\x00", "\x0c"]) | st.text(max_size=4)
+_NUMBERS = st.sampled_from([
+    "0", "1", "+2", "-0", "-0.0", "1.", ".5", "007", "5e-324", "2.5E-310",
+    "1.7976931348623157e308",
+]) | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([repr(x), format(x, ".17g"), format(x, ".3e")]))
+_NON_FINITE = st.sampled_from(["inf", "nan", "-nan", "Infinity", "1e400"])
+_BAD_NUMBERS = st.sampled_from([
+    "", " ", "wat", "1_5", "1_000.5", "١٢", "٣.5", "１", "0x10", "1e", "--1", "1 2",
+    "nan(1)", "1\x00", "1,5", '1"', "-1", "-5e-324", "-inf", "-1e-300",
+])
+_PADDING = st.sampled_from(["", "", "", " ", "\t", "\u2003", "\xa0", "\x0b", "\x0c", "  \t"])
+_ENDINGS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+def _padded(numbers):
+    return st.tuples(_PADDING, numbers, _PADDING).map("".join)
+
+
+@st.composite
+def _fields(draw, texts):
+    """A CSV field, quoted when it must be or when drawn so."""
+    text = draw(texts)
+    if any(c in text for c in ',"\r\n') or draw(st.integers(0, 3)) == 0:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_ODD_IDS = st.sampled_from(['a"b', '"a"b', '"a" ', ' "a"', '"a', 'a""'])
+_ANY_VALUES = _fields(_padded(_NUMBERS | _NON_FINITE | _BAD_NUMBERS))
+_RECORDS = st.one_of(
+    st.just([]),  # a blank line
+    st.tuples(_fields(_IDS) | _ODD_IDS, _ANY_VALUES).map(list),
+    st.tuples(_fields(_IDS), _fields(_padded(_NUMBERS)), _fields(_padded(_NUMBERS))).map(list),
+    st.tuples(_fields(_IDS)).map(list),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """Long-CSV texts: runs of ids, and sometimes a header or record out of place."""
+    header = draw(st.sampled_from(
+        ["id,value"] * 20 + ["id , value", '"id","value"', '"id\n",value', "id,value,x",
+                            "leaf,dist", ""]))
+    records = []
+    for seq_id in draw(st.lists(_IDS, unique=True, max_size=4)):
+        for value in draw(st.lists(_fields(_padded(_NUMBERS)), min_size=2, max_size=5)):
+            records.append([draw(_fields(st.just(seq_id))), value])
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            records.insert(draw(st.integers(0, len(records))), draw(_RECORDS))
+    endings = [draw(_ENDINGS) for _ in range(len(records) + 1)]
+    body = "".join(",".join(r) + e for r, e in zip(records, endings[1:]))
+    return header + endings[0] + body if header or body else ""
+
+
+def _outcome(read, path):
+    try:
+        dataset = read(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return [(s.id, s.values.tobytes()) for s in dataset.sequences]
+
+
+def _numpy_number(raw):
+    """``float`` minus the two spellings numpy's parser rejects."""
+    if "_" in raw or any(c.isdecimal() and not c.isascii() for c in raw):
+        raise ValueError(raw)
+    return float(raw)
+
+
+class TestDatasetCsvAgainstRowReader:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_csv_texts(), st.sampled_from([dataio._CSV_CHUNK, 1, 2, 3]))
+    def test_equals_row_by_row_reader(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings(), mock.patch.object(dataio, "_CSV_CHUNK", chunk):
+            warnings.simplefilter("error")
+            got = _outcome(read_dataset, path)
+        assert got == _outcome(lambda p: helpers.read_dataset_csv_rows(p, _numpy_number), path)
+
+    @pytest.mark.parametrize("raw", ["1_5", "١٢", "2_0.5e1"])
+    def test_underscores_and_non_ascii_digits_are_bad_numbers(self, tmp_path, raw):
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,value\na,1\na,{raw}\na,3\n")
+        assert helpers.read_dataset_csv_rows(path).sequences[0].values.size == 3
+        with pytest.raises(DataFormatError, match=rf"row 3: bad number '{raw}' for id 'a'"):
+            read_dataset(path, "csv")
+
+    def test_header_only_is_empty_without_warning(self, tmp_path):
+        path = tmp_path / "d.csv"
+        for text in ("id,value\n", "id,value\n\n\r\n"):
+            path.write_text(text, newline="")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataFormatError, match="dataset is empty"):
+                    read_dataset(path, "csv")
+
+    def test_large_round_trip(self, tmp_path):
+        rng = np.random.default_rng(35)
+        seqs = []
+        for i, n in enumerate((4000, 3000, 50_001, 7)):
+            values = rng.uniform(0.0, 10.0, n) * 10.0 ** rng.integers(-300, 300, n)
+            values[rng.integers(0, n, n // 10)] = 0.0
+            seqs.append(CcdSequence(f"leaf,{i} \"{i}\"", values))
+        ds = Dataset(tuple(seqs))
+        path = tmp_path / "d.csv"
+        write_dataset(ds, path, "csv")
+        back = read_dataset(path, "csv")
+        assert back.ids == ds.ids
+        for a, b in zip(ds.sequences, back.sequences):
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestDatasetJson:
