@@ -113,9 +113,18 @@ def _read_dataset_csv(path: Path) -> Dataset:
     return Dataset(tuple(_sequence(path, i, v) for i, v in zip(ids, blocks)))
 
 
+def _csv_records(path: Path, fh):
+    """The CSV records of ``fh``; ``csv``'s own errors (a field over its size
+    limit, say) are format errors of ``path``."""
+    try:
+        yield from csv.reader(fh)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def _skip_csv_header(path: Path, fh) -> None:
     try:
-        header = next(csv.reader(fh))
+        header = next(_csv_records(path, fh))
     except StopIteration:
         raise DataFormatError(f"{path}: empty file") from None
     if [c.strip() for c in header] != ["id", "value"]:
@@ -160,7 +169,7 @@ def _raise_first_bad_record(path: Path, fh) -> None:
     _skip_csv_header(path, fh)
     seen: set[str] = set()
     current = None
-    for row_no, row in enumerate(csv.reader(fh), start=2):
+    for row_no, row in enumerate(_csv_records(path, fh), start=2):
         if not row:
             continue
         if len(row) != 2:
@@ -307,7 +316,7 @@ def read_matrix(path, fmt: str = "csv", kind: DistanceKind | None = None) -> Dis
     path = Path(path)
     if fmt == "csv":
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = list(_csv_records(path, fh))
         if not rows or rows[0][:1] != [""]:
             raise DataFormatError(f"{path}: not a labeled square matrix CSV")
         labels = rows[0][1:]

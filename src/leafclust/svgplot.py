@@ -4,10 +4,11 @@ Everything is emitted as plain SVG 1.1 text with no timestamps, random ids
 or library fingerprints, so identical inputs always produce byte-identical
 files and snapshot tests need no image comparison.
 
-Polyline and polygon vertices (density steps and leaf outlines) are
-written with five fixed decimals, i.e. to 1e-5 px, far below what any
-display resolves.  Every other number is written as its shortest
-round-trip repr.
+Density steps are paths of absolute ``H``/``V`` moves, so each corner
+writes only the coordinate that changed; leaf outlines are polygons.  Both
+write their coordinates with five fixed decimals, i.e. to 1e-5 px, far
+below what any display resolves.  Every other number is written as its
+shortest round-trip repr.
 
 Dendrograms are drawn inside a group whose transform maps data space to
 pixels; the path coordinates inside it are the raw data values, so the
@@ -62,12 +63,27 @@ class SvgCanvas:
             f' stroke="{stroke}" stroke-width="{_num(width)}"{_dash(dash)}/>'
         )
 
-    def shape(self, tag, xs, ys, stroke, width, fill="none", dash="none") -> None:
-        """A ``<polyline>`` or ``<polygon>`` through the points (xs[i], ys[i]), to 1e-5 px."""
+    def shape(self, xs, ys, stroke, width, fill) -> None:
+        """A ``<polygon>`` through the points (xs[i], ys[i]), to 1e-5 px."""
         xy = np.column_stack((xs, ys)).ravel().tolist()
         data = ("%.5f,%.5f " * len(xs) % tuple(xy))[:-1]
         self.add(
-            f'<{tag} points="{data}" fill="{fill}" stroke="{stroke}"'
+            f'<polygon points="{data}" fill="{fill}" stroke="{stroke}"'
+            f' stroke-width="{_num(width)}"/>'
+        )
+
+    def steps(self, xs, ys, stroke, width, dash) -> None:
+        """A step ``<path>`` at height ys[k] from xs[k] to xs[k+1], to 1e-5 px.
+
+        ``M x0,y0 H x1 V y1 H x2 ... V y(n-1) H xn``, written without spaces:
+        absolute moves, so no rounding adds up, and every ``V`` is kept, so
+        the corners are exactly (xs[k], ys[k]) and (xs[k+1], ys[k]) for each k.
+        """
+        n = len(ys)
+        xy = np.column_stack((xs[:-1], ys)).ravel().tolist()
+        data = ("M%.5f,%.5f" + "H%.5fV%.5f" * (n - 1) + "H%.5f") % (*xy, xs[-1])
+        self.add(
+            f'<path d="{data}" fill="none" stroke="{stroke}"'
             f' stroke-width="{_num(width)}"{_dash(dash)}/>'
         )
 
@@ -163,9 +179,7 @@ def plot_densities(densities, path, groups: dict[str, str] | None = None,
             style_keys.append(key)
     for d in densities:
         stroke, dash = style_for(style_keys.index(key_of(d)))
-        # Step corners: (b[k], h[k]) and (b[k+1], h[k]) for every interval k.
-        canvas.shape("polyline", px(np.repeat(d.breakpoints, 2)[1:-1]),
-                     py(np.repeat(d.heights, 2)), stroke=stroke, width=1.2, dash=dash)
+        canvas.steps(px(d.breakpoints), py(d.heights), stroke=stroke, width=1.2, dash=dash)
     # legend
     ly = mt + 6.0
     for i, key in enumerate(style_keys):
@@ -201,7 +215,7 @@ def plot_leaves(outlines, path, ncols: int | None = None) -> None:
                    float(pts[:, 1].max() - pts[:, 1].min()), 1e-12)
         scale = (cell - 2 * pad) / span
         # SVG y grows downward; flip the second coordinate.
-        canvas.shape("polygon", ox + cell / 2 + (pts[:, 0] - cx) * scale,
+        canvas.shape(ox + cell / 2 + (pts[:, 0] - cx) * scale,
                      oy + cell / 2 - (pts[:, 1] - cy) * scale,
                      stroke="#2a6f4e", width=1.0, fill="#eaf4ee")
         canvas.text(ox + cell / 2, oy - 4, outline.id, anchor="middle", size=10)

@@ -11,6 +11,7 @@ variation the density normalization is supposed to remove.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ def sample_trace(
 ) -> np.ndarray:
     """One CCD trace: the template sampled at n grid angles, rotated by
     ``rotation``, scaled, and optionally perturbed multiplicatively."""
+    if not 0 <= noise < math.inf:  # NaN fails too
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     theta = TWO_PI * np.arange(1, n + 1) / n
     values = scale * template.radius(theta + rotation)
     if noise > 0:
@@ -86,8 +89,6 @@ def synth_dataset(
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo < 2 or hi < lo:
         raise ValueError(f"bad resolution range {n_range}")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
     rng = np.random.default_rng(seed)
     templates = [_group_template(g, rng) for g in range(groups)]
     sequences = []

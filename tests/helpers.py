@@ -6,7 +6,8 @@ grid and, exactly, by a per-pair copy of the earlier distance code,
 clustering by a plain-Python agglomerative loop over member lists and by
 the earlier blockwise library clustering,
 flat cuts by the earlier union-find cut, SVG point strings by the earlier
-per-point plot code, long-CSV datasets by the earlier row-by-row reader, and
+per-point plot code (density step paths expanded back to its corners by a
+regex), long-CSV datasets by the earlier row-by-row reader, and
 Newick strings by a tiny recursive-descent parser.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -295,7 +297,7 @@ def _point_string(points) -> str:
 
 
 def density_point_strings(densities) -> list[str]:
-    """``points`` of each ``plot_densities`` polyline, corner by corner."""
+    """``"x,y"`` corners of each ``plot_densities`` step, corner by corner."""
     return [_point_string(points) for points in density_points(densities)]
 
 
@@ -305,7 +307,7 @@ def leaf_point_strings(outlines) -> list[str]:
 
 
 def density_points(densities) -> list[list[tuple[float, float]]]:
-    """Exact pixel corners of each ``plot_densities`` polyline."""
+    """Exact pixel corners of each ``plot_densities`` step."""
     width, height = 640.0, 420.0
     ml, mr, mt, mb = 56.0, 16.0, 30.0, 42.0
     pw, ph = width - ml - mr, height - mt - mb
@@ -329,6 +331,29 @@ def density_points(densities) -> list[list[tuple[float, float]]]:
             points.append((px(b[k + 1]), py(h[k])))
         out.append(points)
     return out
+
+
+_TOKEN = r"[^\sMHV,]+"
+_STEP_PATH = re.compile(rf"M({_TOKEN}),({_TOKEN})((?:H{_TOKEN}V{_TOKEN})*)H({_TOKEN})")
+_STEP_MOVE = re.compile(rf"H({_TOKEN})V({_TOKEN})")
+
+
+def step_path_points(d: str) -> str:
+    """The corners of step path ``d`` as a ``points`` string, numbers copied verbatim.
+
+    ``Mx0,y0Hx1Vy1...Vy(n-1)Hxn`` has the corners (x0,y0) (x1,y0) (x1,y1)
+    (x2,y1) ... (xn,y(n-1)); anything else is a ValueError.
+    """
+    match = _STEP_PATH.fullmatch(d)
+    if match is None:
+        raise ValueError(f"not an absolute H/V step path: {d!r}")
+    x, y, moves, last = match.groups()
+    corners = [f"{x},{y}"]
+    for x, next_y in _STEP_MOVE.findall(moves):
+        corners += [f"{x},{y}", f"{x},{next_y}"]
+        y = next_y
+    corners.append(f"{last},{y}")
+    return " ".join(corners)
 
 
 def leaf_points(outlines) -> list[list[tuple[float, float]]]:

@@ -221,9 +221,20 @@ EXIT_CODES = [
           "distmat --input {d}/one.densities.json --format densities --outdir {d}/out",
           name="read-densities-one-leaf"),
     _case("read-matrix", 1, "cluster --input {d}/nope.csv --outdir {d}/out"),
+    _case("read-dataset", 1, "densify --input {d}/long_header.csv --outdir {d}/out",
+          name="read-dataset-csv-field-limit-header"),
+    _case("read-dataset", 1, "densify --input {d}/long_value.csv --outdir {d}/out",
+          name="read-dataset-csv-field-limit-before-bad-record"),
+    _case("read-matrix", 1, "cluster --input {d}/long_cell.csv --outdir {d}/out",
+          name="read-matrix-csv-field-limit"),
     _case("read-dendrogram", 1,
           "plot --input {d}/four.json --format json --dendrogram {d}/nope.json --outdir {d}/out"),
     _case("synth", 1, "synth --n-min 50 --n-max 10 --output {d}/s.json"),
+    _case("synth", 1, "synth --groups 1 --per-group 2 --n-min 10 --n-max 20 --noise nan "
+                      "--output {d}/s.json", name="synth-noise-nan"),
+    _case("synth", 1, "synth --groups 1 --per-group 2 --n-min 10 --n-max 20 "
+                      "--config {d}/run.cfg --output {d}/s.json",
+          name="synth-config-noise-nan", config="noise = nan"),
     _case("cut", 2, "pipeline --input {d}/four.json --format json --distance l1 --cut 9 "
                     "--no-plots --outdir {d}/out"),
     _case("normalize", 2, "densify --input {d}/four.json --format json --outdir {d}/out",
@@ -246,6 +257,7 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, fou
                                           monkeypatch, capsys):
     d = four_leaf_json.parent
     _write_one_leaf_inputs(d)
+    _write_long_field_inputs(d)
     if broken is not None:
         monkeypatch.setattr(cli, broken, _fail)
     if config is not None:
@@ -263,6 +275,15 @@ def _write_one_leaf_inputs(d):
     (d / "one.csv").write_text("id,value\na,1\na,2\na,4\n")
     write_densities([normalize_leaf(CcdSequence("a", [1.0, 2.0, 4.0]))],
                     d / "one.densities.json")
+
+
+def _write_long_field_inputs(d):
+    """CSV inputs with a field over ``csv``'s 131,072-character limit: in a
+    dataset header, in a value before a bad record and in a matrix cell."""
+    pad = " " * 140_000
+    (d / "long_header.csv").write_text(f"id,{pad}value\na,1\na,2\nb,1\nb,3\n")
+    (d / "long_value.csv").write_text(f"id,value\na,{pad}1\na,2\nb,x\nb,3\n")
+    (d / "long_cell.csv").write_text(f",a,b\na,0,{pad}1\nb,1,0\n")
 
 
 def test_one_leaf_densifies_and_plots(tmp_path):

@@ -37,8 +37,9 @@ UPPER = 2 * (1 + MASS_TOL)
 
 def _shape_coordinates(path):
     root = ET.parse(path).getroot()
-    return [float(v) for tag in ("polyline", "polygon") for shape in root.iter(f"{SVG}{tag}")
-            for point in shape.get("points").split() for v in point.split(",")]
+    points = [helpers.step_path_points(e.get("d")) for e in root.iter(f"{SVG}path")]
+    points += [e.get("points") for e in root.iter(f"{SVG}polygon")]
+    return [float(v) for shape in points for point in shape.split() for v in point.split(",")]
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -28,23 +29,27 @@ def svg_root(path):
     return ET.parse(path).getroot()
 
 
+def step_points(path):
+    """The corners of every density step path in ``path``, as ``points`` strings."""
+    return [helpers.step_path_points(e.get("d")) for e in svg_root(path).findall(f"{SVG}path")]
+
+
 class TestPlotDensities:
     def test_single_uniform_density_is_horizontal(self, tmp_path):
         d = density_from_ccd(CcdSequence("u", np.ones(4)))
         path = tmp_path / "d.svg"
         plot_densities([d], path)
-        root = svg_root(path)
-        lines = root.findall(f"{SVG}polyline")
+        lines = step_points(path)
         assert len(lines) == 1
-        ys = {pt.split(",")[1] for pt in lines[0].get("points").split()}
+        ys = {pt.split(",")[1] for pt in lines[0].split()}
         assert len(ys) == 1
 
     def test_two_step_has_one_step(self, tmp_path):
         d = density_from_ccd(CcdSequence("t", np.array([1.0, 3.0])))
         path = tmp_path / "d.svg"
         plot_densities([d], path)
-        poly = svg_root(path).find(f"{SVG}polyline")
-        ys = [float(pt.split(",")[1]) for pt in poly.get("points").split()]
+        (poly,) = step_points(path)
+        ys = [float(pt.split(",")[1]) for pt in poly.split()]
         assert len(set(ys)) == 2
 
     def test_identical_densities_coincide(self, tmp_path):
@@ -52,9 +57,9 @@ class TestPlotDensities:
         e = density_from_ccd(CcdSequence("b", np.array([1.0, 2.0, 3.0])))
         path = tmp_path / "d.svg"
         plot_densities([d, e], path)
-        lines = svg_root(path).findall(f"{SVG}polyline")
+        lines = step_points(path)
         assert len(lines) == 2
-        assert lines[0].get("points") == lines[1].get("points")
+        assert lines[0] == lines[1]
 
     def test_groups_share_style(self, tmp_path):
         seqs = [CcdSequence(f"s{i}", np.array([1.0, 2.0, float(i + 1)]))
@@ -63,7 +68,7 @@ class TestPlotDensities:
         groups = {"s0": "A", "s1": "A", "s2": "B", "s3": "B"}
         path = tmp_path / "d.svg"
         plot_densities(densities, path, groups=groups)
-        lines = svg_root(path).findall(f"{SVG}polyline")
+        lines = svg_root(path).findall(f"{SVG}path")
         strokes = [ln.get("stroke") for ln in lines[:4]]
         assert strokes[0] == strokes[1] and strokes[2] == strokes[3]
         assert strokes[0] != strokes[2]
@@ -166,8 +171,7 @@ class TestPointStringsMatchPerPointOracle:
     def test_density_polylines(self, case, tmp_path):
         densities = _density_case(case)
         plot_densities(densities, tmp_path / "d.svg")
-        assert self.point_strings(tmp_path / "d.svg", "polyline") == \
-            helpers.density_point_strings(densities)
+        assert step_points(tmp_path / "d.svg") == helpers.density_point_strings(densities)
 
     @pytest.mark.parametrize("rotated", [False, True])
     def test_leaf_polygons(self, rotated, tmp_path):
@@ -177,6 +181,18 @@ class TestPointStringsMatchPerPointOracle:
         plot_leaves(outlines, tmp_path / "leaves.svg")
         assert self.point_strings(tmp_path / "leaves.svg", "polygon") == \
             helpers.leaf_point_strings(outlines)
+
+
+@pytest.mark.parametrize("case", ["uniform", "two-values", "normalized"])
+def test_density_step_writes_one_number_per_corner(case, tmp_path):
+    """n intervals write 2n + 1 numbers, where a polyline wrote 4n."""
+    densities = _density_case(case)
+    plot_densities(densities, tmp_path / "d.svg")
+    root = svg_root(tmp_path / "d.svg")
+    assert root.findall(f".//{SVG}polyline") == []
+    paths = root.findall(f"{SVG}path")
+    assert [len(re.findall(r"[^\sMHV,]+", e.get("d"))) for e in paths] == \
+        [2 * d.heights.size + 1 for d in densities]
 
 
 def _leaf_case(rotated):
@@ -191,12 +207,11 @@ class TestPointsParseBackToExactCoordinates:
     BOUND = 5e-6 + 1e-12  # half the last decimal, plus the parse's own rounding
 
     @classmethod
-    def assert_close(cls, path, tag, exact):
-        shapes = svg_root(path).findall(f"{SVG}{tag}")
-        assert len(shapes) == len(exact)
-        for shape, points in zip(shapes, exact):
+    def assert_close(cls, point_strings, exact):
+        assert len(point_strings) == len(exact)
+        for points_string, points in zip(point_strings, exact):
             got = np.array([[float(v) for v in p.split(",")]
-                            for p in shape.get("points").split()])
+                            for p in points_string.split()])
             want = np.array(points, dtype=float)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= cls.BOUND
@@ -205,13 +220,14 @@ class TestPointsParseBackToExactCoordinates:
     def test_density_polylines(self, case, tmp_path):
         densities = _density_case(case)
         plot_densities(densities, tmp_path / "d.svg")
-        self.assert_close(tmp_path / "d.svg", "polyline", helpers.density_points(densities))
+        self.assert_close(step_points(tmp_path / "d.svg"), helpers.density_points(densities))
 
     @pytest.mark.parametrize("rotated", [False, True])
     def test_leaf_polygons(self, rotated, tmp_path):
         outlines = _leaf_case(rotated)
         plot_leaves(outlines, tmp_path / "leaves.svg")
-        self.assert_close(tmp_path / "leaves.svg", "polygon", helpers.leaf_points(outlines))
+        polygons = svg_root(tmp_path / "leaves.svg").findall(f"{SVG}polygon")
+        self.assert_close([e.get("points") for e in polygons], helpers.leaf_points(outlines))
 
 
 class TestWellFormedAndDeterministic:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,14 @@ class TestSynthDataset:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             synth_dataset(1, 1, (10, 20), -0.1, seed=0)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_rejects_non_finite_noise(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            synth_dataset(1, 1, (10, 20), noise, seed=0)
+        template = _group_template(0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            sample_trace(template, 10, 0.0, 1.0, noise, np.random.default_rng(1))
 
 
 class TestTraceGeometry:
