@@ -10,8 +10,9 @@ array and may carry an optional ``groups`` object with a plant-type label
 per id (the key ``groups`` is reserved for that purpose).
 
 All writers are deterministic: identical inputs produce byte-identical
-files.  Floats are written with 17 significant digits (CSV) or shortest
-round-trip repr (JSON), so values survive a write/read cycle bit-for-bit.
+files.  A JSON file is one compact line from Python's C encoder.  Floats are
+written with 17 significant digits (CSV) or shortest round-trip repr (JSON),
+so values survive a write/read cycle bit-for-bit.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from .hcluster import Dendrogram, Merge
 
 class DataFormatError(ValueError):
     """Raised when an input file cannot be parsed or violates its schema."""
-
-
-DATASET_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ def _read_dataset_json(path: Path) -> Dataset:
 def _write_dataset_json(dataset: Dataset, path: Path) -> None:
     if "groups" in dataset.ids:
         raise DataFormatError("id 'groups' clashes with the reserved JSON key")
-    doc: dict = {seq.id: seq.values for seq in dataset.sequences}
+    doc: dict = {seq.id: seq.values.tolist() for seq in dataset.sequences}
     if dataset.groups is not None:
         doc["groups"] = {i: dataset.groups[i] for i in dataset.ids if i in dataset.groups}
     _dump_json(doc, path)
@@ -251,37 +249,9 @@ def _load_json(path: Path):
 
 
 def _dump_json(doc, path: Path) -> None:
+    # No indent: json.dumps runs its C encoder only without one.
     with open(path, "w") as fh:
-        fh.write(_json_text(doc, "") + "\n")
-
-
-def _json_text(value, indent: str) -> str:
-    """``json.dumps(value, indent=1)`` for a value nested ``indent`` deep.
-
-    ``json.dumps`` runs the C encoder only without ``indent``, so dicts and
-    lists are laid out here, and scalars and keys go through ``json.dumps``.
-    A 1-D numeric array is encoded whole by the C encoder; its ", "
-    separators become the indented line breaks, which is safe because the
-    repr of a number never contains ", ".
-    """
-    inner = indent + " "
-    if isinstance(value, np.ndarray):
-        if not value.size:
-            return "[]"
-        items = json.dumps(value.tolist())[1:-1].replace(", ", ",\n" + inner)
-        return "[\n" + inner + items + "\n" + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(v, inner)}"
-                            for k, v in value.items())
-        return "{\n" + items + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(inner + _json_text(v, inner) for v in value)
-        return "[\n" + items + "\n" + indent + "]"
-    return json.dumps(value)
+        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +270,7 @@ def write_matrix(dm: DistanceMatrix, path, fmt: str = "csv") -> None:
         doc = {
             "labels": list(dm.labels),
             "kind": {"tag": dm.kind.name, "moment_order": dm.kind.moment_order},
-            "entries": list(dm.entries),
+            "entries": dm.entries.tolist(),
         }
         _dump_json(doc, path)
     else:
@@ -364,12 +334,22 @@ def read_dendrogram(path) -> Dendrogram:
     doc = _load_json(path)
     try:
         merges = tuple(
-            Merge(int(r["left"]), int(r["right"]), float(r["height"]), int(r["size"]))
+            Merge(_json_int(r, "left"), _json_int(r, "right"), float(r["height"]),
+                  _json_int(r, "size"))
             for r in doc["merges"]
         )
         return Dendrogram(tuple(doc["labels"]), merges)
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: bad dendrogram schema: {exc}") from None
+
+
+def _json_int(record: dict, key: str) -> int:
+    """``record[key]``, which must be a JSON integer: ``int()`` would truncate
+    0.9 to 0 without a word, and ``true`` is a Python int."""
+    value = record[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def write_clusters(labels, assignment, k: int, path) -> None:
@@ -393,8 +373,8 @@ def write_densities(densities, path) -> None:
     doc = {
         "densities": {
             d.source_id: {
-                "breakpoints": d.breakpoints,
-                "heights": d.heights,
+                "breakpoints": d.breakpoints.tolist(),
+                "heights": d.heights.tolist(),
                 "rotation": float(d.rotation),
                 "direction_defined": bool(d.direction_defined),
             }

@@ -67,6 +67,8 @@ class Dendrogram:
                 if child in seen_children:
                     raise ValueError(f"merge {i}: child id {child} reused")
                 seen_children.add(child)
+            if not np.isfinite(mg.height):
+                raise ValueError(f"merge {i}: height must be finite")
             if mg.height < 0:
                 raise ValueError(f"merge {i}: negative height")
             if i > 0 and mg.height < merges[i - 1].height:

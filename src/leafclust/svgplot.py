@@ -87,10 +87,10 @@ class SvgCanvas:
             f' stroke-width="{_num(width)}"{_dash(dash)}/>'
         )
 
-    def text(self, x, y, content, size=11, anchor="start", color="#000000", extra="") -> None:
+    def text(self, x, y, content, size=11, anchor="start", extra="") -> None:
         self.add(
             f'<text x="{_num(x)}" y="{_num(y)}" font-size="{_num(size)}" {_FONT}'
-            f' text-anchor="{anchor}" fill="{color}"{extra}>{_esc(content)}</text>'
+            f' text-anchor="{anchor}" fill="#000000"{extra}>{_esc(content)}</text>'
         )
 
     def render(self) -> str:
@@ -191,14 +191,13 @@ def plot_densities(densities, path, groups: dict[str, str] | None = None,
     canvas.write(path)
 
 
-def plot_leaves(outlines, path, ncols: int | None = None) -> None:
+def plot_leaves(outlines, path) -> None:
     """Grid of closed leaf silhouettes, one equal-aspect cell per outline."""
     outlines = list(outlines)
     if not outlines:
         raise ValueError("nothing to plot")
     n = len(outlines)
-    if ncols is None:
-        ncols = max(1, math.ceil(math.sqrt(n)))
+    ncols = math.ceil(math.sqrt(n))
     nrows = math.ceil(n / ncols)
     cell, pad, title_h = 150.0, 10.0, 16.0
     width = ncols * cell

@@ -1,6 +1,7 @@
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 
@@ -229,6 +230,12 @@ EXIT_CODES = [
           name="read-matrix-csv-field-limit"),
     _case("read-dendrogram", 1,
           "plot --input {d}/four.json --format json --dendrogram {d}/nope.json --outdir {d}/out"),
+    _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
+                                "--dendrogram {d}/inf_height.json --outdir {d}/out",
+          name="read-dendrogram-infinite-height"),
+    _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
+                                "--dendrogram {d}/nan_height.json --outdir {d}/out",
+          name="read-dendrogram-nan-height"),
     _case("synth", 1, "synth --n-min 50 --n-max 10 --output {d}/s.json"),
     _case("synth", 1, "synth --groups 1 --per-group 2 --n-min 10 --n-max 20 --noise nan "
                       "--output {d}/s.json", name="synth-noise-nan"),
@@ -258,6 +265,7 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, fou
     d = four_leaf_json.parent
     _write_one_leaf_inputs(d)
     _write_long_field_inputs(d)
+    _write_non_finite_dendrograms(d)
     if broken is not None:
         monkeypatch.setattr(cli, broken, _fail)
     if config is not None:
@@ -284,6 +292,16 @@ def _write_long_field_inputs(d):
     (d / "long_header.csv").write_text(f"id,{pad}value\na,1\na,2\nb,1\nb,3\n")
     (d / "long_value.csv").write_text(f"id,value\na,{pad}1\na,2\nb,x\nb,3\n")
     (d / "long_cell.csv").write_text(f",a,b\na,0,{pad}1\nb,1,0\n")
+
+
+def _write_non_finite_dendrograms(d):
+    """Dendrograms of four.json whose last merge height is ``Infinity`` or
+    ``NaN``, both of which Python's JSON reader accepts."""
+    for name, height in (("inf_height", math.inf), ("nan_height", math.nan)):
+        merges = [(0, 1, 1.0, 2), (2, 3, 2.0, 2), (4, 5, height, 4)]
+        (d / f"{name}.json").write_text(json.dumps({
+            "labels": ["s0", "s1", "s2", "s3"],
+            "merges": [dict(zip(("left", "right", "height", "size"), m)) for m in merges]}))
 
 
 def test_one_leaf_densifies_and_plots(tmp_path):

@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from leafclust import (
+    TWO_PI,
     CcdSequence,
     DataFormatError,
     Dataset,
+    Dendrogram,
     DistanceKind,
     DistanceMatrix,
     Linkage,
+    Merge,
+    StepDensity,
     agglomerate,
     density_from_ccd,
     distance_matrix,
@@ -28,7 +32,6 @@ from leafclust import (
     write_matrix,
 )
 from leafclust import dataio
-from leafclust.dataio import _json_text
 
 
 def random_dataset(rng, m=6):
@@ -313,6 +316,15 @@ class TestDendrogramIo:
         with pytest.raises(DataFormatError, match="schema"):
             read_dendrogram(path)
 
+    @pytest.mark.parametrize("key,value", [("left", "0.9"), ("right", "true"), ("size", "2.0")])
+    def test_child_ids_and_sizes_are_json_integers(self, tmp_path, key, value):
+        merge = {"left": 0, "right": 1, "height": 1.0, "size": 2}
+        text = json.dumps({"labels": ["a", "b"], "merges": [merge]})
+        path = tmp_path / "t.json"
+        path.write_text(text.replace(f'"{key}": {merge[key]}', f'"{key}": {value}'))
+        with pytest.raises(DataFormatError, match=f"schema: '{key}' must be an integer"):
+            read_dendrogram(path)
+
 
 class TestDensitiesIo:
     def test_round_trip(self, tmp_path):
@@ -357,30 +369,73 @@ class TestDeterminism:
             assert p1.read_bytes() == p2.read_bytes(), name
 
 
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
-_STRINGS = st.text() | st.sampled_from(["a, b", ", ", "blatt, größe", "葉, 形"])
-_FLOAT_ARRAYS = st.lists(_FLOATS, max_size=6).map(lambda xs: np.array(xs, dtype=float))
-_DOCS = st.recursive(
-    st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS | _FLOAT_ARRAYS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
-    max_leaves=16,
-)
+_AWKWARD_IDS = ("a, b", 'say "hi"', "葉", "line\nbreak")
+_EXTREMES = (5e-324, 1e308, 0.0)
 
 
-def _plain(value):
-    """``value`` with every array turned into a list, as ``json.dumps`` needs."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
-    return value
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
 
 
-class TestJsonText:
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(_DOCS)
-    def test_equals_indented_json_dumps(self, doc):
-        assert _json_text(doc, "") == json.dumps(_plain(doc), indent=1)
+def _dataset_round_trip(path):
+    ds = Dataset(tuple(CcdSequence(i, _EXTREMES) for i in _AWKWARD_IDS),
+                 {i: "葉, G" for i in _AWKWARD_IDS})
+    write_dataset(ds, path, "json")
+    back = read_dataset(path, "json")
+    assert back.ids == ds.ids and back.groups == ds.groups
+    assert [_bits(s.values) for s in back.sequences] == [_bits(s.values) for s in ds.sequences]
+
+
+def _matrix_round_trip(path):
+    a, b, z = _EXTREMES
+    entries = np.array([[z, a, b, z], [a, z, z, b], [b, z, z, a], [z, b, a, z]])
+    dm = DistanceMatrix(_AWKWARD_IDS, entries, DistanceKind("moments", 3))
+    write_matrix(dm, path, "json")
+    back = read_matrix(path, "json")
+    assert (back.labels, back.kind) == (dm.labels, dm.kind)
+    assert _bits(back.entries) == _bits(dm.entries)
+
+
+def _dendrogram_round_trip(path):
+    a, b, z = _EXTREMES
+    dend = Dendrogram(_AWKWARD_IDS, (Merge(0, 1, z, 2), Merge(2, 3, a, 2), Merge(4, 5, b, 4)))
+    write_dendrogram(dend, path)
+    back = read_dendrogram(path)
+    assert back.labels == dend.labels
+    assert [_bits([m.height]) for m in back.merges] == [_bits([m.height]) for m in dend.merges]
+    assert back.merges == dend.merges
+
+
+def _clusters_round_trip(path):
+    assignment = [1, 2, 1, 2]
+    dataio.write_clusters(_AWKWARD_IDS, assignment, 2, path)
+    assert json.loads(path.read_text()) == {"k": 2,
+                                            "assignment": dict(zip(_AWKWARD_IDS, assignment))}
+
+
+def _densities_round_trip(path):
+    densities = [StepDensity(np.array([0.0, _EXTREMES[0], TWO_PI]), np.array([0.0, 1 / TWO_PI]),
+                             source_id=i, rotation=r, direction_defined=r != 0.0)
+                 for i, r in zip(_AWKWARD_IDS, _EXTREMES + (-1.5,))]
+    write_densities(densities, path)
+    back = read_densities(path)
+    assert [d.source_id for d in back] == list(_AWKWARD_IDS)
+    for a, b in zip(densities, back):
+        assert _bits([b.rotation]) == _bits([a.rotation])
+        assert b.direction_defined == a.direction_defined
+        assert _bits(b.breakpoints) == _bits(a.breakpoints)
+        assert _bits(b.heights) == _bits(a.heights)
+
+
+@pytest.mark.parametrize("round_trip", [_dataset_round_trip, _matrix_round_trip,
+                                        _dendrogram_round_trip, _clusters_round_trip,
+                                        _densities_round_trip],
+                         ids=["dataset", "matrix", "dendrogram", "clusters", "densities"])
+def test_json_artifact_is_one_compact_line(round_trip, tmp_path):
+    """Each JSON writer writes one line, exactly the compact re-encoding of
+    what it holds, that reads back bit-equal (awkward ids, extreme floats)."""
+    path = tmp_path / "a.json"
+    round_trip(path)
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"

@@ -349,6 +349,12 @@ class TestDendrogramValidation:
             Dendrogram(("a", "b", "c"),
                        (Merge(0, 1, 2.0, 2), Merge(3, 2, 1.0, 3)))
 
+    @pytest.mark.parametrize("height", [float("inf"), float("nan")])
+    def test_rejects_non_finite_height(self, height):
+        with pytest.raises(ValueError, match="merge 1: height must be finite"):
+            Dendrogram(("a", "b", "c"),
+                       (Merge(0, 1, 1.0, 2), Merge(3, 2, height, 3)))
+
     def test_rejects_wrong_merge_count(self):
         with pytest.raises(ValueError):
             Dendrogram(("a", "b", "c"), (Merge(0, 1, 1.0, 2),))
