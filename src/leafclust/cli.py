@@ -17,7 +17,7 @@ from pathlib import Path
 from . import dataio, svgplot, synth
 from .density import density_from_ccd, leaf_outline, normalize_leaf
 from .distances import DistanceKind, DistanceTag, distance_matrix
-from .hcluster import Dendrogram, Linkage, agglomerate, cut, to_newick
+from .hcluster import Linkage, agglomerate, cut, to_newick
 
 DISTANCE_CHOICES = tuple(tag.value for tag in DistanceTag) + ("all",)
 
@@ -136,11 +136,6 @@ class Options:
         return value
 
 
-def _kinds_for(name: str, r: int) -> list[DistanceKind]:
-    tags = list(DistanceTag) if name == "all" else [DistanceTag(name)]
-    return [DistanceKind(tag, r) for tag in tags]
-
-
 def _load_dataset(opts: Options, min_leaves: int = 1) -> dataio.Dataset:
     path = opts.require("input")
     fmt = opts.get("format")
@@ -225,8 +220,10 @@ def _densities_for_distmat(opts: Options):
 def _distance_stage(opts: Options, densities, out: Path):
     """Compute and write (CSV and JSON) one matrix per requested kind."""
     labels = [d.source_id for d in densities]
+    name = opts.get("distance")
     matrices = []
-    for kind in _kinds_for(opts.get("distance"), opts.get("r")):
+    for tag in list(DistanceTag) if name == "all" else [DistanceTag(name)]:
+        kind = DistanceKind(tag, opts.get("r"))
         with _stage(f"distances-{kind.name}", 2):
             dm = distance_matrix(densities, labels, kind)
         for fmt in ("csv", "json"):
@@ -247,31 +244,33 @@ def cmd_cluster(opts: Options) -> int:
     path = opts.require("input")
     with _stage("read-matrix", 1):
         dm = dataio.read_matrix(path, opts.get("format"))
-    out = _outdir(opts)
-    dend = _cluster_one(dm, opts.get("linkage"))
-    _write_tree(dend, out, "dendrogram", opts)
+    _cluster_stage(opts, dm, _outdir(opts), "", plot=False)
     return 0
 
 
-def _cluster_one(dm, linkage_name: str) -> Dendrogram:
+def _cluster_stage(opts: Options, dm, out: Path, suffix: str, plot: bool) -> None:
+    """Cluster one matrix and write ``dendrogram<suffix>.json``/``.nwk``, with
+    ``--cut`` also ``clusters<suffix>.json`` and with ``plot`` the tree's SVG."""
+    linkage = opts.get("linkage")
     with _stage("cluster", 2):
-        return agglomerate(dm, Linkage(linkage_name))
-
-
-def _write_tree(dend: Dendrogram, out: Path, stem: str, opts: Options) -> None:
-    json_path = out / f"{stem}.json"
+        dend = agglomerate(dm, Linkage(linkage))
+    json_path = out / f"dendrogram{suffix}.json"
     with _writing(json_path):
         dataio.write_dendrogram(dend, json_path)
-    nwk_path = out / f"{stem}.nwk"
+    nwk_path = out / f"dendrogram{suffix}.nwk"
     with _writing(nwk_path):
         nwk_path.write_text(to_newick(dend) + "\n")
     k = opts.get("cut")
     if k is not None:
         with _stage("cut", 2):
             assignment = cut(dend, k)
-        clusters_path = out / f"{stem.replace('dendrogram', 'clusters')}.json"
+        clusters_path = out / f"clusters{suffix}.json"
         with _writing(clusters_path):
             dataio.write_clusters(dend.labels, assignment, k, clusters_path)
+    if plot:
+        svg_path = out / f"dendrogram{suffix}.svg"
+        with _writing(svg_path):
+            svgplot.plot_dendrogram(dend, svg_path, title=f"{linkage} linkage, {dm.kind.name}")
 
 
 def cmd_plot(opts: Options) -> int:
@@ -293,8 +292,8 @@ def _plot_dataset(dataset: dataio.Dataset, out: Path) -> None:
     normalized = _normalize_all(dataset)
     with _stage("plot", 2):
         raw = [density_from_ccd(seq) for seq in dataset.sequences]
-        flat = [leaf_outline(seq) for seq in dataset.sequences]
-        turned = [leaf_outline(seq, rotated=True) for seq in dataset.sequences]
+        flat = [leaf_outline(d) for d in raw]
+        turned = [leaf_outline(d, n.rotation) for d, n in zip(raw, normalized)]
     for name, densities, title in (
         ("densities_unrotated.svg", raw, "circular densities (unrotated)"),
         ("densities_normalized.svg", normalized, "circular densities (normalized)"),
@@ -315,16 +314,10 @@ def cmd_pipeline(opts: Options) -> int:
     dataset = _load_dataset(opts, min_leaves=2)
     out = _outdir(opts)
     densities = _normalize_all(dataset)
-    linkage = opts.get("linkage")
+    plots = not opts.get("no_plots")
     for dm in _distance_stage(opts, densities, out):
-        name = dm.kind.name
-        dend = _cluster_one(dm, linkage)
-        _write_tree(dend, out, f"dendrogram_{name}", opts)
-        if not opts.get("no_plots"):
-            path = out / f"dendrogram_{name}.svg"
-            with _writing(path):
-                svgplot.plot_dendrogram(dend, path, title=f"{linkage} linkage, {name}")
-    if not opts.get("no_plots"):
+        _cluster_stage(opts, dm, out, f"_{dm.kind.name}", plots)
+    if plots:
         _plot_dataset(dataset, out)
     return 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,20 +216,15 @@ def _read_dataset_json(path: Path) -> Dataset:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
-    groups = None
-    seqs = []
-    for key, val in doc.items():
-        if key == "groups":
-            if not isinstance(val, dict):
-                raise DataFormatError(f"{path}: 'groups' must be an object")
-            groups = {str(k): str(v) for k, v in val.items()}
-            continue
-        if not isinstance(val, list):
-            raise DataFormatError(f"{path}: id {key!r} must map to an array")
-        seqs.append(_sequence(path, str(key), val))
+    try:
+        groups = _json_field(doc, "groups", "an object") if "groups" in doc else None
+        seqs = [_sequence(path, key, _json_field(doc, key, _NUMBERS))
+                for key in doc if key != "groups"]
+    except TypeError as exc:
+        raise DataFormatError(f"{path}: bad dataset schema: {exc}") from None
     if not seqs:
         raise DataFormatError(f"{path}: no sequences found")
-    return Dataset(tuple(seqs), groups)
+    return Dataset(tuple(seqs), groups and {str(k): str(v) for k, v in groups.items()})
 
 
 def _write_dataset_json(dataset: Dataset, path: Path) -> None:
@@ -252,6 +248,30 @@ def _dump_json(doc, path: Path) -> None:
     # No indent: json.dumps runs its C encoder only without one.
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+
+
+_LABELS, _NUMBERS = "a list of strings", "an array of numbers"
+# The types json reads for each kind of field.  Nothing is coerced (float("1.5"),
+# bool("no") and tuple("ab") all succeed), and a bool, though a Python int, is no number.
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "true or false": (bool,),
+               "an object": (dict,), _LABELS: (list,), _NUMBERS: (list,)}
+
+
+def _json_field(record, key: str, expect: str):
+    """``record[key]``, or TypeError if it is not ``expect``.  An array of numbers
+    is returned as the integer or float ndarray of one np.array call."""
+    value = record[key]
+    if type(value) in _JSON_TYPES[expect]:
+        if expect == _NUMBERS:
+            try:
+                array = np.array(value)
+            except ValueError:  # nested lists of unequal length
+                array = np.array(None)
+            if array.dtype.kind in "iuf":
+                return array
+        elif expect != _LABELS or all(type(s) is str for s in value):
+            return value
+    raise TypeError(f"{key!r} must be {expect}, got {reprlib.repr(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +323,12 @@ def read_matrix(path, fmt: str = "csv", kind: DistanceKind | None = None) -> Dis
         return DistanceMatrix(tuple(labels), entries, kind or DistanceKind("l1"))
     if fmt == "json":
         doc = _load_json(path)
-        try:
-            file_kind = DistanceKind(doc["kind"]["tag"], doc["kind"]["moment_order"])
-            return DistanceMatrix(
-                tuple(doc["labels"]), np.array(doc["entries"], dtype=float),
-                kind or file_kind,
-            )
-        except (KeyError, TypeError) as exc:
+        try:  # a ValueError here is DistanceKind's or DistanceMatrix's check
+            file_kind = DistanceKind(doc["kind"]["tag"],
+                                     _json_field(doc["kind"], "moment_order", "an integer"))
+            return DistanceMatrix(_json_field(doc, "labels", _LABELS),
+                                  _json_field(doc, "entries", _NUMBERS), kind or file_kind)
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: bad matrix schema: {exc}") from None
     raise DataFormatError(f"unknown matrix format {fmt!r}")
 
@@ -334,22 +353,14 @@ def read_dendrogram(path) -> Dendrogram:
     doc = _load_json(path)
     try:
         merges = tuple(
-            Merge(_json_int(r, "left"), _json_int(r, "right"), float(r["height"]),
-                  _json_int(r, "size"))
+            Merge(_json_field(r, "left", "an integer"), _json_field(r, "right", "an integer"),
+                  float(_json_field(r, "height", "a number")),
+                  _json_field(r, "size", "an integer"))
             for r in doc["merges"]
         )
-        return Dendrogram(tuple(doc["labels"]), merges)
-    except (KeyError, TypeError) as exc:
+        return Dendrogram(_json_field(doc, "labels", _LABELS), merges)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise DataFormatError(f"{path}: bad dendrogram schema: {exc}") from None
-
-
-def _json_int(record: dict, key: str) -> int:
-    """``record[key]``, which must be a JSON integer: ``int()`` would truncate
-    0.9 to 0 without a word, and ``true`` is a Python int."""
-    value = record[key]
-    if type(value) is not int:
-        raise TypeError(f"{key!r} must be an integer, got {value!r}")
-    return value
 
 
 def write_clusters(labels, assignment, k: int, path) -> None:
@@ -390,13 +401,13 @@ def read_densities(path) -> list[StepDensity]:
     try:
         return [
             StepDensity(
-                np.array(rec["breakpoints"], dtype=float),
-                np.array(rec["heights"], dtype=float),
-                source_id=str(seq_id),
-                rotation=float(rec["rotation"]),
-                direction_defined=bool(rec["direction_defined"]),
+                _json_field(rec, "breakpoints", _NUMBERS),
+                _json_field(rec, "heights", _NUMBERS),
+                source_id=seq_id,
+                rotation=float(_json_field(rec, "rotation", "a number")),
+                direction_defined=_json_field(rec, "direction_defined", "true or false"),
             )
-            for seq_id, rec in doc["densities"].items()
+            for seq_id, rec in _json_field(doc, "densities", "an object").items()
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise DataFormatError(f"{path}: bad densities schema: {exc}") from None

@@ -287,21 +287,16 @@ def normalize_leaf(seq: CcdSequence) -> StepDensity:
     return rotate_density(d, md.angle)
 
 
-def leaf_outline(seq: CcdSequence, rotated: bool = False) -> LeafOutline:
-    """Reconstruct the leaf contour as Cartesian points.
+def leaf_outline(d: StepDensity, rotation: float = 0.0) -> LeafOutline:
+    """Reconstruct the leaf contour of density ``d`` as Cartesian points.
 
-    Each pair (angle, c*y_j) is a polar point with radius in normalized
-    units (c = 1/(2*pi*mean(y)), so the outline is scale-free).  With
-    ``rotated`` the angles are shifted by the mean direction and wrapped,
-    which renders the leaf in its normalized orientation.
+    Each (t_{k+1} - rotation, h_k), the angle wrapped into (0, 2pi], is a polar
+    point; for a trace's density h_k = y_k/(2*pi*mean(y)), so the outline is
+    scale-free.  The ``rotation`` of the normalized density turns the leaf to
+    its normalized orientation.
     """
-    d = density_from_ccd(seq)
+    angles = d.breakpoints[1:] - rotation
+    angles = np.where(angles <= 0.0, angles + TWO_PI, angles)
     radii = d.heights
-    angles = d.breakpoints[1:]
-    if rotated:
-        md = mean_direction(d)
-        if md.defined:
-            angles = angles - md.angle
-            angles = np.where(angles <= 0.0, angles + TWO_PI, angles)
     points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    return LeafOutline(seq.id, points)
+    return LeafOutline(d.source_id, points)

@@ -56,6 +56,8 @@ class Dendrogram:
         labels = tuple(self.labels)
         merges = tuple(self.merges)
         m = len(labels)
+        if m < 2:
+            raise ValueError(f"a dendrogram needs at least 2 leaves, got {m}")
         if len(merges) != m - 1:
             raise ValueError(f"expected {m - 1} merges for {m} leaves")
         seen_children = set()
@@ -73,7 +75,7 @@ class Dendrogram:
                 raise ValueError(f"merge {i}: negative height")
             if i > 0 and mg.height < merges[i - 1].height:
                 raise ValueError(f"merge {i}: heights must be non-decreasing")
-        if merges and merges[-1].size != m:
+        if merges[-1].size != m:
             raise ValueError("final merge must contain every leaf")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "merges", merges)
@@ -214,8 +216,6 @@ def to_newick(dend: Dendrogram) -> str:
     smallest contained leaf index, so output is deterministic.
     """
     m = dend.n_leaves
-    if m < 2:
-        raise ValueError("need at least 2 leaves for a Newick tree")
     heights = [0.0] * m + [mg.height for mg in dend.merges]
     children = _ordered_children(dend)
     parts: list[str] = []

@@ -221,6 +221,9 @@ EXIT_CODES = [
     _case("read-densities", 1,
           "distmat --input {d}/one.densities.json --format densities --outdir {d}/out",
           name="read-densities-one-leaf"),
+    _case("read-densities", 1,
+          "distmat --input {d}/flag.densities.json --format densities --outdir {d}/out",
+          name="read-densities-flag-string"),
     _case("read-matrix", 1, "cluster --input {d}/nope.csv --outdir {d}/out"),
     _case("read-dataset", 1, "densify --input {d}/long_header.csv --outdir {d}/out",
           name="read-dataset-csv-field-limit-header"),
@@ -236,6 +239,9 @@ EXIT_CODES = [
     _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
                                 "--dendrogram {d}/nan_height.json --outdir {d}/out",
           name="read-dendrogram-nan-height"),
+    _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
+                                "--dendrogram {d}/one_leaf.json --outdir {d}/out",
+          name="read-dendrogram-one-leaf"),
     _case("synth", 1, "synth --n-min 50 --n-max 10 --output {d}/s.json"),
     _case("synth", 1, "synth --groups 1 --per-group 2 --n-min 10 --n-max 20 --noise nan "
                       "--output {d}/s.json", name="synth-noise-nan"),
@@ -266,6 +272,7 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, fou
     _write_one_leaf_inputs(d)
     _write_long_field_inputs(d)
     _write_non_finite_dendrograms(d)
+    _write_mistyped_json_inputs(d)
     if broken is not None:
         monkeypatch.setattr(cli, broken, _fail)
     if config is not None:
@@ -302,6 +309,17 @@ def _write_non_finite_dendrograms(d):
         (d / f"{name}.json").write_text(json.dumps({
             "labels": ["s0", "s1", "s2", "s3"],
             "merges": [dict(zip(("left", "right", "height", "size"), m)) for m in merges]}))
+
+
+def _write_mistyped_json_inputs(d):
+    """``flag.densities.json``, two densities whose ``direction_defined`` is
+    the string "no", and ``one_leaf.json``, a dendrogram of one leaf."""
+    write_densities([normalize_leaf(CcdSequence(i, [1.0, 2.0, 4.0])) for i in "ab"],
+                    d / "flag.densities.json")
+    doc = json.loads((d / "flag.densities.json").read_text())
+    doc["densities"]["a"]["direction_defined"] = "no"
+    (d / "flag.densities.json").write_text(json.dumps(doc))
+    (d / "one_leaf.json").write_text('{"labels": ["a"], "merges": []}')
 
 
 def test_one_leaf_densifies_and_plots(tmp_path):
@@ -343,6 +361,18 @@ class TestStagewiseCommands:
                    "--distance", "l1", "--outdir", staged) == 0
         assert (direct / "matrix_l1.csv").read_bytes() == \
             (staged / "matrix_l1.csv").read_bytes()
+
+    def test_stagewise_tree_matches_pipeline(self, four_leaf_json, tmp_path):
+        direct = tmp_path / "direct"
+        staged = tmp_path / "staged"
+        options = ("--cut", 2, "--linkage", "average")
+        assert run("pipeline", "--input", four_leaf_json, "--format", "json",
+                   "--distance", "l1", *options, "--outdir", direct, "--no-plots") == 0
+        assert run("cluster", "--input", direct / "matrix_l1.csv", *options,
+                   "--outdir", staged) == 0
+        for name in ("dendrogram.json", "dendrogram.nwk", "clusters.json"):
+            stem, ext = name.split(".")
+            assert (staged / name).read_bytes() == (direct / f"{stem}_l1.{ext}").read_bytes()
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -439,3 +440,90 @@ def test_json_artifact_is_one_compact_line(round_trip, tmp_path):
     text = path.read_text()
     assert text.endswith("\n") and text.count("\n") == 1
     assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+
+def _write_small_tree(path):
+    write_dendrogram(Dendrogram(("a", "b", "c"), (Merge(0, 1, 0.0216, 2), Merge(2, 3, 0.5, 3))),
+                     path)
+
+
+def _write_one_density(path):
+    write_densities([normalize_leaf(CcdSequence("a", [1.0, 2.0, 4.0]))], path)
+
+
+def _write_small_matrix(path):
+    write_matrix(DistanceMatrix(("a", "b"), np.array([[0.0, 0.5], [0.5, 0.0]]),
+                                DistanceKind("moments", 3)), path, "json")
+
+
+def _write_one_trace(path):
+    write_dataset(Dataset((CcdSequence("a", [1.0, 2.0, 4.0]),)), path, "json")
+
+
+def _read_matrix_json(path):
+    return read_matrix(path, "json")
+
+
+def _read_dataset_json(path):
+    return read_dataset(path, "json")
+
+
+def _density(doc):
+    return doc["densities"]["a"]
+
+
+# id -> (writer, reader, edit of the written document, what the error says)
+_MISTYPED_JSON = {
+    "dendrogram-height-string": (_write_small_tree, read_dendrogram,
+                                 lambda d: d["merges"][0].update(height="0.0216"),
+                                 "'height' must be a number"),
+    "dendrogram-height-beyond-float": (_write_small_tree, read_dendrogram,
+                                       lambda d: d["merges"][1].update(height=10**400),
+                                       "int too large to convert to float"),
+    "dendrogram-labels-string": (_write_small_tree, read_dendrogram,
+                                 lambda d: d.update(labels="一丁丂"),
+                                 "'labels' must be a list of strings"),
+    "densities-flag-string": (_write_one_density, read_densities,
+                              lambda d: _density(d).update(direction_defined="no"),
+                              "'direction_defined' must be true or false"),
+    "densities-rotation-string": (_write_one_density, read_densities,
+                                  lambda d: _density(d).update(rotation="0.5"),
+                                  "'rotation' must be a number"),
+    "densities-rotation-beyond-float": (_write_one_density, read_densities,
+                                        lambda d: _density(d).update(rotation=10**400),
+                                        "int too large to convert to float"),
+    "densities-breakpoint-strings": (_write_one_density, read_densities,
+                                     lambda d: _density(d).update(
+                                         breakpoints=list(map(str, _density(d)["breakpoints"]))),
+                                     "'breakpoints' must be an array of numbers"),
+    "matrix-labels-string": (_write_small_matrix, _read_matrix_json,
+                             lambda d: d.update(labels="ab"),
+                             "'labels' must be a list of strings"),
+    "matrix-moment-order-float": (_write_small_matrix, _read_matrix_json,
+                                  lambda d: d["kind"].update(moment_order=5.5),
+                                  "'moment_order' must be an integer"),
+    "matrix-entry-strings": (_write_small_matrix, _read_matrix_json,
+                             lambda d: d.update(entries=[list(map(str, r)) for r in d["entries"]]),
+                             "'entries' must be an array of numbers"),
+    "matrix-moment-order-zero": (_write_small_matrix, _read_matrix_json,
+                                 lambda d: d["kind"].update(moment_order=0),
+                                 "moment order must be >= 1"),
+    "dataset-value-strings": (_write_one_trace, _read_dataset_json,
+                              lambda d: d.update(a=["1", "2", "4"]),
+                              "'a' must be an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("case", _MISTYPED_JSON)
+def test_json_fields_are_checked_not_coerced(case, tmp_path):
+    """A JSON field of the wrong type is a format error naming the file and
+    the field, where float(), bool() or tuple() would have read it; an integer
+    beyond the float range is a format error of the file."""
+    write, read, edit, message = _MISTYPED_JSON[case]
+    path = tmp_path / "a.json"
+    write(path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        read(path)

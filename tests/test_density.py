@@ -293,7 +293,7 @@ class TestNormalizeLeaf:
 
 class TestLeafOutline:
     def test_uniform_circle(self):
-        out = leaf_outline(CcdSequence("u", np.ones(4)))
+        out = leaf_outline(density_from_ccd(CcdSequence("u", np.ones(4))))
         r = 1.0 / TWO_PI
         expected = [(0.0, r), (-r, 0.0), (0.0, -r), (r, 0.0)]
         np.testing.assert_allclose(out.points, expected, atol=1e-15)
@@ -301,22 +301,22 @@ class TestLeafOutline:
     def test_point_count_matches_sequence(self):
         rng = np.random.default_rng(9)
         seq = helpers.random_ccd(rng, n_range=(17, 17))
-        assert leaf_outline(seq).points.shape == (17, 2)
+        assert leaf_outline(density_from_ccd(seq)).points.shape == (17, 2)
 
     def test_scaling_leaves_outline_unchanged(self):
         seq = CcdSequence("a", np.array([1.0, 2.0, 0.5, 3.0]))
         big = CcdSequence("a", 512.0 * seq.values)
         np.testing.assert_array_equal(
-            leaf_outline(seq).points, leaf_outline(big).points)
+            leaf_outline(density_from_ccd(seq)).points, leaf_outline(density_from_ccd(big)).points)
 
     def test_two_step_points(self):
-        out = leaf_outline(TWO_STEP)
+        out = leaf_outline(density_from_ccd(TWO_STEP))
         r1, r2 = 1.0 / (4 * math.pi), 3.0 / (4 * math.pi)
         np.testing.assert_allclose(out.points, [(-r1, 0.0), (r2, 0.0)], atol=1e-16)
 
     def test_rotated_outline_is_rigid_rotation(self):
-        plain = leaf_outline(QUARTER)
-        turned = leaf_outline(QUARTER, rotated=True)
+        plain = leaf_outline(density_from_ccd(QUARTER))
+        turned = leaf_outline(density_from_ccd(QUARTER), normalize_leaf(QUARTER).rotation)
         mu = mean_direction(density_from_ccd(QUARTER)).angle
         rot = np.array([[math.cos(-mu), -math.sin(-mu)],
                         [math.sin(-mu), math.cos(-mu)]])

@@ -15,6 +15,7 @@ from leafclust import (
     Linkage,
     agglomerate,
     cut,
+    density_from_ccd,
     distance_matrix,
     leaf_outline,
     normalize_leaf,
@@ -66,7 +67,8 @@ def test_traces_run_through_every_stage(traces):
                 plot_dendrogram(dend, out / "tree.svg")
                 ET.parse(out / "tree.svg")
         plot_densities(densities, out / "densities.svg")
-        plot_leaves([leaf_outline(s, rotated=True) for s in seqs], out / "leaves.svg")
+        plot_leaves([leaf_outline(density_from_ccd(s), normalize_leaf(s).rotation) for s in seqs],
+                    out / "leaves.svg")
         for name in ("densities.svg", "leaves.svg"):
             coords = _shape_coordinates(out / name)  # at least two points per leaf
             assert len(coords) >= 4 * m and np.all(np.isfinite(coords))

@@ -81,7 +81,7 @@ class TestPlotDensities:
 class TestPlotLeaves:
     def test_grid_of_ten(self, tmp_path):
         rng = np.random.default_rng(40)
-        outlines = [leaf_outline(helpers.directional_ccd(rng, (20, 40), f"L{i}"))
+        outlines = [leaf_outline(density_from_ccd(helpers.directional_ccd(rng, (20, 40), f"L{i}")))
                     for i in range(10)]
         path = tmp_path / "leaves.svg"
         plot_leaves(outlines, path)
@@ -91,7 +91,7 @@ class TestPlotLeaves:
         assert titles == [f"L{i}" for i in range(10)]
 
     def test_uniform_leaf_is_regular_polygon(self, tmp_path):
-        out = leaf_outline(CcdSequence("u", np.ones(24)))
+        out = leaf_outline(density_from_ccd(CcdSequence("u", np.ones(24))))
         path = tmp_path / "leaf.svg"
         plot_leaves([out], path)
         poly = svg_root(path).find(f"{SVG}polygon")
@@ -103,8 +103,8 @@ class TestPlotLeaves:
 
     def test_rotated_cell_is_rotation_of_unrotated(self, tmp_path):
         seq = CcdSequence("q", np.array([1.0, 0.2, 0.2, 0.2]))
-        plain = leaf_outline(seq)
-        turned = leaf_outline(seq, rotated=True)
+        plain = leaf_outline(density_from_ccd(seq))
+        turned = leaf_outline(density_from_ccd(seq), normalize_leaf(seq).rotation)
         mu = mean_direction(density_from_ccd(seq)).angle
         rot = np.array([[math.cos(-mu), -math.sin(-mu)],
                         [math.sin(-mu), math.cos(-mu)]])
@@ -176,8 +176,9 @@ class TestPointStringsMatchPerPointOracle:
     @pytest.mark.parametrize("rotated", [False, True])
     def test_leaf_polygons(self, rotated, tmp_path):
         rng = np.random.default_rng(44)
-        outlines = [leaf_outline(helpers.directional_ccd(rng, (20, 300), f"L{i}"),
-                                 rotated=rotated) for i in range(10)]
+        seqs = [helpers.directional_ccd(rng, (20, 300), f"L{i}") for i in range(10)]
+        outlines = [leaf_outline(density_from_ccd(s),
+                                 normalize_leaf(s).rotation if rotated else 0.0) for s in seqs]
         plot_leaves(outlines, tmp_path / "leaves.svg")
         assert self.point_strings(tmp_path / "leaves.svg", "polygon") == \
             helpers.leaf_point_strings(outlines)
@@ -197,8 +198,9 @@ def test_density_step_writes_one_number_per_corner(case, tmp_path):
 
 def _leaf_case(rotated):
     rng = np.random.default_rng(44)
-    return [leaf_outline(helpers.directional_ccd(rng, (20, 300), f"L{i}"), rotated=rotated)
-            for i in range(10)]
+    seqs = [helpers.directional_ccd(rng, (20, 300), f"L{i}") for i in range(10)]
+    return [leaf_outline(density_from_ccd(s), normalize_leaf(s).rotation if rotated else 0.0)
+            for s in seqs]
 
 
 class TestPointsParseBackToExactCoordinates:
@@ -235,7 +237,7 @@ class TestWellFormedAndDeterministic:
         rng = np.random.default_rng(41)
         seqs = [helpers.directional_ccd(rng, (30, 60), f"s{i}") for i in range(5)]
         densities = [normalize_leaf(s) for s in seqs]
-        outlines = [leaf_outline(s, rotated=True) for s in seqs]
+        outlines = [leaf_outline(density_from_ccd(s), normalize_leaf(s).rotation) for s in seqs]
         dm = distance_matrix(densities, [s.id for s in seqs], DistanceKind("l1"))
         dend = agglomerate(dm, Linkage.COMPLETE)
         jobs = [
