@@ -331,8 +331,13 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
         sub.add_argument(f"--{name.replace('_', '-')}", **_OPTIONS[name][1])
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad or unknown flag fails as a bad config value does
+        raise StageError("config", message, 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leafclust",
         description="Cluster leaf shapes from centroid-contour-distance traces.",
     )
@@ -365,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(Options(args))
     except StageError as exc:
         print(f"leafclust: error {exc}", file=sys.stderr)

@@ -5,14 +5,14 @@ header and one row per CCD measurement, rows grouped by id; it needs no
 padding even though traces have unequal lengths.  Its records follow CSV
 quoting (``"`` quotes, ``""`` escapes, blank lines skipped) and are parsed
 by ``np.loadtxt``, which reads numbers as ``float`` does except that it
-rejects underscores and non-ASCII digits.  JSON maps each id to its value
-array and may carry an optional ``groups`` object with a plant-type label
-per id (the key ``groups`` is reserved for that purpose).
+rejects underscores and non-ASCII digits (so does the CSV matrix reader).
+JSON maps each id to its value array and may carry an optional ``groups``
+object with a plant-type label per id (the key ``groups`` is reserved).
 
 All writers are deterministic: identical inputs produce byte-identical
 files.  A JSON file is one compact line from Python's C encoder.  Floats are
-written with 17 significant digits (CSV) or shortest round-trip repr (JSON),
-so values survive a write/read cycle bit-for-bit.
+written as their shortest round-trip repr (in CSV without a trailing ``.0``,
+as in Newick and SVG), so values survive a write/read cycle bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .density import CcdSequence, StepDensity
 from .distances import DistanceKind, DistanceMatrix
-from .hcluster import Dendrogram, Merge
+from .hcluster import Dendrogram, Merge, _format_length
 
 
 class DataFormatError(ValueError):
@@ -60,10 +60,6 @@ class Dataset:
         return [s.id for s in self.sequences]
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -80,7 +76,8 @@ def read_dataset(path, fmt: str = "csv") -> Dataset:
 def write_dataset(dataset: Dataset, path, fmt: str = "csv") -> None:
     path = Path(path)
     if fmt == "csv":
-        _write_dataset_csv(dataset, path)
+        rows = ((seq.id, [v]) for seq in dataset.sequences for v in seq.values)
+        _write_csv(path, ["id", "value"], rows)
     elif fmt == "json":
         _write_dataset_json(dataset, path)
     else:
@@ -161,8 +158,7 @@ def _raise_first_bad_record(path: Path, fh) -> None:
     """Name the first record the vectorized read rejected, row by row.
 
     Rows are CSV records numbered from the header as row 1, blank records
-    included.  Numbers follow numpy's parser: ``float`` without underscores
-    or non-ASCII digits.
+    included.
     """
     fh.seek(0)
     _skip_csv_header(path, fh)
@@ -182,9 +178,7 @@ def _raise_first_bad_record(path: Path, fh) -> None:
             seen.add(seq_id)
             current = seq_id
         try:
-            if "_" in raw or not raw.strip().isascii():
-                raise ValueError(raw)
-            value = float(raw)
+            value = _number(raw)
         except ValueError:
             raise DataFormatError(
                 f"{path}: row {row_no}: bad number {raw!r} for id {seq_id!r}"
@@ -195,6 +189,13 @@ def _raise_first_bad_record(path: Path, fh) -> None:
             )
 
 
+def _number(text: str) -> float:
+    """``float(text)`` as numpy's parser reads it: no underscores, no non-ASCII digits."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _sequence(path: Path, seq_id: str, values) -> CcdSequence:
     """Build one trace; values ``CcdSequence`` rejects are a format error of ``path``."""
     try:
@@ -203,28 +204,25 @@ def _sequence(path: Path, seq_id: str, values) -> CcdSequence:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _write_dataset_csv(dataset: Dataset, path: Path) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """``header``, then one record per ``(label, values)`` of ``rows``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "value"])
-        for seq in dataset.sequences:
-            for v in seq.values:
-                writer.writerow([seq.id, _fmt17(v)])
+        writer.writerow(header)
+        writer.writerows([label, *map(_format_length, values)] for label, values in rows)
 
 
 def _read_dataset_json(path: Path) -> Dataset:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    try:
-        groups = _json_field(doc, "groups", "an object") if "groups" in doc else None
+    def build(doc) -> Dataset:
+        if not isinstance(doc, dict):
+            raise DataFormatError(f"{path}: expected a JSON object")
+        groups = _json_field(doc, "groups", _GROUPS) if "groups" in doc else None
         seqs = [_sequence(path, key, _json_field(doc, key, _NUMBERS))
                 for key in doc if key != "groups"]
-    except TypeError as exc:
-        raise DataFormatError(f"{path}: bad dataset schema: {exc}") from None
-    if not seqs:
-        raise DataFormatError(f"{path}: no sequences found")
-    return Dataset(tuple(seqs), groups and {str(k): str(v) for k, v in groups.items()})
+        if not seqs:
+            raise DataFormatError(f"{path}: no sequences found")
+        return Dataset(tuple(seqs), groups)
+    return _read_json(path, "dataset", build)
 
 
 def _write_dataset_json(dataset: Dataset, path: Path) -> None:
@@ -236,12 +234,20 @@ def _write_dataset_json(dataset: Dataset, path: Path) -> None:
     _dump_json(doc, path)
 
 
-def _load_json(path: Path):
+def _read_json(path: Path, what: str, build):
+    """``build(doc)`` of the JSON document in ``path``; the errors of a document
+    of the wrong shape (a constructor's ValueError too) are format errors of ``path``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return build(doc)
+    except DataFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
+        raise DataFormatError(f"{path}: bad {what} schema: {exc}") from None
 
 
 def _dump_json(doc, path: Path) -> None:
@@ -250,11 +256,11 @@ def _dump_json(doc, path: Path) -> None:
         fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-_LABELS, _NUMBERS = "a list of strings", "an array of numbers"
+_LABELS, _GROUPS, _NUMBERS = "a list of strings", "an object of strings", "an array of numbers"
 # The types json reads for each kind of field.  Nothing is coerced (float("1.5"),
 # bool("no") and tuple("ab") all succeed), and a bool, though a Python int, is no number.
 _JSON_TYPES = {"an integer": (int,), "a number": (int, float), "true or false": (bool,),
-               "an object": (dict,), _LABELS: (list,), _NUMBERS: (list,)}
+               "an object": (dict,), _LABELS: (list,), _GROUPS: (dict,), _NUMBERS: (list,)}
 
 
 def _json_field(record, key: str, expect: str):
@@ -269,7 +275,8 @@ def _json_field(record, key: str, expect: str):
                 array = np.array(None)
             if array.dtype.kind in "iuf":
                 return array
-        elif expect != _LABELS or all(type(s) is str for s in value):
+        elif expect not in (_LABELS, _GROUPS) or all(
+                type(s) is str for s in (value.values() if expect == _GROUPS else value)):
             return value
     raise TypeError(f"{key!r} must be {expect}, got {reprlib.repr(value)}")
 
@@ -279,20 +286,15 @@ def _json_field(record, key: str, expect: str):
 
 
 def write_matrix(dm: DistanceMatrix, path, fmt: str = "csv") -> None:
-    path = Path(path)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([""] + list(dm.labels))
-            for label, row in zip(dm.labels, dm.entries):
-                writer.writerow([label] + [_fmt17(v) for v in row])
+        _write_csv(Path(path), ["", *dm.labels], zip(dm.labels, dm.entries))
     elif fmt == "json":
         doc = {
             "labels": list(dm.labels),
             "kind": {"tag": dm.kind.name, "moment_order": dm.kind.moment_order},
             "entries": dm.entries.tolist(),
         }
-        _dump_json(doc, path)
+        _dump_json(doc, Path(path))
     else:
         raise DataFormatError(f"unknown matrix format {fmt!r}")
 
@@ -317,19 +319,17 @@ def read_matrix(path, fmt: str = "csv", kind: DistanceKind | None = None) -> Dis
             if len(row) != len(labels) + 1 or row[0] != labels[i]:
                 raise DataFormatError(f"{path}: malformed row {i + 2}")
             try:
-                entries[i] = [float(v) for v in row[1:]]
+                entries[i] = [_number(v) for v in row[1:]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
         return DistanceMatrix(tuple(labels), entries, kind or DistanceKind("l1"))
     if fmt == "json":
-        doc = _load_json(path)
-        try:  # a ValueError here is DistanceKind's or DistanceMatrix's check
+        def build(doc) -> DistanceMatrix:
             file_kind = DistanceKind(doc["kind"]["tag"],
                                      _json_field(doc["kind"], "moment_order", "an integer"))
             return DistanceMatrix(_json_field(doc, "labels", _LABELS),
                                   _json_field(doc, "entries", _NUMBERS), kind or file_kind)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: bad matrix schema: {exc}") from None
+        return _read_json(path, "matrix", build)
     raise DataFormatError(f"unknown matrix format {fmt!r}")
 
 
@@ -349,9 +349,7 @@ def write_dendrogram(dend: Dendrogram, path) -> None:
 
 
 def read_dendrogram(path) -> Dendrogram:
-    path = Path(path)
-    doc = _load_json(path)
-    try:
+    def build(doc) -> Dendrogram:
         merges = tuple(
             Merge(_json_field(r, "left", "an integer"), _json_field(r, "right", "an integer"),
                   float(_json_field(r, "height", "a number")),
@@ -359,8 +357,7 @@ def read_dendrogram(path) -> Dendrogram:
             for r in doc["merges"]
         )
         return Dendrogram(_json_field(doc, "labels", _LABELS), merges)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
-        raise DataFormatError(f"{path}: bad dendrogram schema: {exc}") from None
+    return _read_json(Path(path), "dendrogram", build)
 
 
 def write_clusters(labels, assignment, k: int, path) -> None:
@@ -396,9 +393,7 @@ def write_densities(densities, path) -> None:
 
 
 def read_densities(path) -> list[StepDensity]:
-    path = Path(path)
-    doc = _load_json(path)
-    try:
+    def build(doc) -> list[StepDensity]:
         return [
             StepDensity(
                 _json_field(rec, "breakpoints", _NUMBERS),
@@ -409,5 +404,4 @@ def read_densities(path) -> list[StepDensity]:
             )
             for seq_id, rec in _json_field(doc, "densities", "an object").items()
         ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
-        raise DataFormatError(f"{path}: bad densities schema: {exc}") from None
+    return _read_json(Path(path), "densities", build)

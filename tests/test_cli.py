@@ -207,6 +207,13 @@ EXIT_CODES = [
     _config_case("format = xml", command="densify"),
     _config_case("no_plots = maybe"),
     _config_case("linkge = single"),
+    _case("config", 1, "distmat --input {d}/four.json --format json --r abc --outdir {d}/out",
+          name="config-flag-r-abc"),
+    _case("config", 1, "pipeline --input {d}/four.json --format json --distance foo "
+                       "--outdir {d}/out", name="config-flag-distance-foo"),
+    _case("config", 1, "pipeline --input {d}/four.json --format json --linkge single "
+                       "--outdir {d}/out", name="config-flag-unknown"),
+    _case("config", 1, "", name="config-no-subcommand"),
     _case("config", 1, "pipeline --input {d}/four.json --format json --distance l1 --cut 0 "
                        "--outdir {d}/out", name="config-cut"),
     _config_case("cut = 0"),
@@ -231,6 +238,10 @@ EXIT_CODES = [
           name="read-dataset-csv-field-limit-before-bad-record"),
     _case("read-matrix", 1, "cluster --input {d}/long_cell.csv --outdir {d}/out",
           name="read-matrix-csv-field-limit"),
+    _case("read-matrix", 1, "cluster --input {d}/underscore_cell.csv --outdir {d}/out",
+          name="read-matrix-underscore-cell"),
+    _case("read-dataset", 1, "densify --input {d}/int_group.json --format json --outdir {d}/out",
+          name="read-dataset-group-not-string"),
     _case("read-dendrogram", 1,
           "plot --input {d}/four.json --format json --dendrogram {d}/nope.json --outdir {d}/out"),
     _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
@@ -313,13 +324,18 @@ def _write_non_finite_dendrograms(d):
 
 def _write_mistyped_json_inputs(d):
     """``flag.densities.json``, two densities whose ``direction_defined`` is
-    the string "no", and ``one_leaf.json``, a dendrogram of one leaf."""
+    the string "no", ``one_leaf.json``, a dendrogram of one leaf,
+    ``int_group.json``, a dataset whose groups are not strings, and
+    ``underscore_cell.csv``, a matrix with the cell ``1_5``."""
     write_densities([normalize_leaf(CcdSequence(i, [1.0, 2.0, 4.0])) for i in "ab"],
                     d / "flag.densities.json")
     doc = json.loads((d / "flag.densities.json").read_text())
     doc["densities"]["a"]["direction_defined"] = "no"
     (d / "flag.densities.json").write_text(json.dumps(doc))
     (d / "one_leaf.json").write_text('{"labels": ["a"], "merges": []}')
+    (d / "int_group.json").write_text(
+        '{"a": [1, 2, 3], "b": [3, 1, 2], "groups": {"a": 1, "b": true}}')
+    (d / "underscore_cell.csv").write_text(",a,b\na,0,1_5\nb,1_5,0\n")
 
 
 def test_one_leaf_densifies_and_plots(tmp_path):

@@ -33,6 +33,7 @@ from leafclust import (
     write_matrix,
 )
 from leafclust import dataio
+from leafclust.hcluster import _format_length
 
 
 def random_dataset(rng, m=6):
@@ -285,6 +286,27 @@ class TestMatrixIo:
         assert back.kind == dm.kind
         np.testing.assert_array_equal(back.entries, dm.entries)
 
+    def test_csv_numbers_are_shortest_repr(self, tmp_path):
+        """CSV cells are written by the formatter of Newick and SVG numbers,
+        where 17 significant digits would differ, and read back bit-equal."""
+        values = [0.1, 5e-05, 1e-300, 5e-324, 1.0]
+        entries = np.zeros((6, 6))
+        entries[0, 1:] = entries[1:, 0] = values
+        dm = DistanceMatrix(tuple("abcdef"), entries, DistanceKind("l1"))
+        path = tmp_path / "m.csv"
+        write_matrix(dm, path, "csv")
+        assert path.read_text().splitlines()[1] == ",".join(
+            ["a", "0"] + [_format_length(v) for v in values])
+        assert _bits(read_matrix(path, "csv").entries) == _bits(entries)
+
+    @pytest.mark.parametrize("cell", ["1_5", "١٢"])
+    def test_csv_cells_follow_the_dataset_number_rule(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f",a,b\na,0,{cell}\nb,{cell},0\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            read_matrix(path, "csv")
+        assert str(err.value) == f"{path}: row 2: could not convert string to float: {cell!r}"
+
     def test_zero_matrix_csv(self, tmp_path):
         dm = DistanceMatrix(("a", "b"), np.zeros((2, 2)), DistanceKind("l1"))
         path = tmp_path / "m.csv"
@@ -511,6 +533,9 @@ _MISTYPED_JSON = {
     "dataset-value-strings": (_write_one_trace, _read_dataset_json,
                               lambda d: d.update(a=["1", "2", "4"]),
                               "'a' must be an array of numbers"),
+    "dataset-group-not-string": (_write_one_trace, _read_dataset_json,
+                                 lambda d: d.update(groups={"a": 1}),
+                                 "'groups' must be an object of strings"),
 }
 
 
@@ -527,3 +552,31 @@ def test_json_fields_are_checked_not_coerced(case, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         read(path)
+
+
+# reader -> (what it says of the document [1, 2], what it says of {})
+_JSON_SHAPES = {
+    "dataset": (_read_dataset_json, "expected a JSON object", "no sequences found"),
+    "matrix": (_read_matrix_json,
+               "bad matrix schema: list indices must be integers or slices, not str",
+               "bad matrix schema: 'kind'"),
+    "dendrogram": (read_dendrogram,
+                   "bad dendrogram schema: list indices must be integers or slices, not str",
+                   "bad dendrogram schema: 'merges'"),
+    "densities": (read_densities,
+                  "bad densities schema: list indices must be integers or slices, not str",
+                  "bad densities schema: 'densities'"),
+}
+
+
+@pytest.mark.parametrize("case", _JSON_SHAPES)
+def test_json_document_of_the_wrong_shape(case, tmp_path):
+    """Every JSON reader fails on a document that is not its object, or an
+    object without its first field, with a format error naming the file."""
+    read, of_list, of_empty = _JSON_SHAPES[case]
+    path = tmp_path / "a.json"
+    for text, message in (("[1, 2]", of_list), ("{}", of_empty)):
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: {message}"
