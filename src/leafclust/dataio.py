@@ -106,7 +106,10 @@ def _read_dataset_csv(path: Path) -> Dataset:
         if len(set(ids)) < len(ids) or np.any(values < 0):
             _raise_first_bad_record(path, fh)
     blocks = np.split(values, starts[1:])
-    return Dataset(tuple(_sequence(path, i, v) for i, v in zip(ids, blocks)))
+    try:
+        return Dataset(tuple(_sequence(i, v) for i, v in zip(ids, blocks)))
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _csv_records(path: Path, fh):
@@ -196,12 +199,12 @@ def _number(text: str) -> float:
     return float(text)
 
 
-def _sequence(path: Path, seq_id: str, values) -> CcdSequence:
-    """Build one trace; values ``CcdSequence`` rejects are a format error of ``path``."""
+def _sequence(seq_id: str, values) -> CcdSequence:
+    """Build one trace; values ``CcdSequence`` rejects are a format error."""
     try:
         return CcdSequence(seq_id, values)
     except ValueError as exc:  # InvalidCcdError, or values that are not numbers
-        raise DataFormatError(f"{path}: {exc}") from None
+        raise DataFormatError(str(exc)) from None
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -215,12 +218,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _read_dataset_json(path: Path) -> Dataset:
     def build(doc) -> Dataset:
         if not isinstance(doc, dict):
-            raise DataFormatError(f"{path}: expected a JSON object")
+            raise DataFormatError("expected a JSON object")
         groups = _json_field(doc, "groups", _GROUPS) if "groups" in doc else None
-        seqs = [_sequence(path, key, _json_field(doc, key, _NUMBERS))
+        seqs = [_sequence(key, _json_field(doc, key, _NUMBERS))
                 for key in doc if key != "groups"]
         if not seqs:
-            raise DataFormatError(f"{path}: no sequences found")
+            raise DataFormatError("no sequences found")
         return Dataset(tuple(seqs), groups)
     return _read_json(path, "dataset", build)
 
@@ -235,17 +238,26 @@ def _write_dataset_json(dataset: Dataset, path: Path) -> None:
 
 
 def _read_json(path: Path, what: str, build):
-    """``build(doc)`` of the JSON document in ``path``; the errors of a document
-    of the wrong shape (a constructor's ValueError too) are format errors of ``path``."""
+    """``build(doc)`` of the JSON document in ``path``; a key repeated in an
+    object and the errors of a document of the wrong shape (a constructor's
+    ValueError too) are format errors of ``path``."""
+    def unique_keys(pairs) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DataFormatError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     try:
         return build(doc)
-    except DataFormatError:
-        raise
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise DataFormatError(f"{path}: bad {what} schema: {exc}") from None
 

@@ -6,10 +6,19 @@ every interval, so each integral reduces to a finite sum over that one
 refinement.  The moment distance compares closed-form trigonometric moment
 vectors, computed once per density.  A grid-based approximation exists
 only as a cross-check in the test suite.
+
+A large matrix is split across the usable CPUs: its pairs are cut into
+contiguous shares, forked child processes compute all shares but the first,
+and each sends its values back through a pipe as raw float64 bytes.  Every
+pair runs through the same code either way, so the matrix is byte-identical
+whatever the CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
 from dataclasses import dataclass
 from enum import Enum
 
@@ -167,13 +176,104 @@ def distance_matrix(densities, labels, kind: DistanceKind) -> DistanceMatrix:
 
     Per-density work (the moment vectors) is done once per density.  Each
     unordered pair is then computed once and mirrored, which makes the
-    matrix exactly symmetric.  ``DistanceMatrix`` checks the labels.
+    matrix exactly symmetric.  Where the pairs are worth it they are split
+    across the usable CPUs (see the module docstring).  ``DistanceMatrix``
+    checks the labels.
     """
     prepare, pair = _KERNELS[kind.tag]
     items = [prepare(d, kind.moment_order) for d in densities]
     m = len(items)
+    iu, ku = np.triu_indices(m, 1)
+    # Merged points over all pairs: each item takes part in m - 1 merges.
+    work = (m - 1) * sum(_size(item) for item in items)
+    shares = max(1, min(_usable_cpus(), iu.size, work // _MIN_WORK_PER_SHARE))
     entries = np.zeros((m, m))
-    for i in range(m):
-        for k in range(i + 1, m):
-            entries[i, k] = entries[k, i] = pair(items[i], items[k])
+    entries[iu, ku] = entries[ku, iu] = _pair_values(pair, items, iu, ku, shares)
     return DistanceMatrix(tuple(labels), entries, kind)
+
+
+# Work (merged points) below which a share is not worth its own process.  On
+# a 2 vCPU Xeon a merge costs 26-55 ns per point and a fork and join 3-4 ms at
+# 40-50 MiB RSS, so a share of this size spends about 5 % of its time on it.
+_MIN_WORK_PER_SHARE = 2_000_000
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _size(item) -> int:
+    """Intervals of a density, entries of a moment vector."""
+    return item.n_intervals if isinstance(item, StepDensity) else item.size
+
+
+def _share(pair, items, iu, ku) -> np.ndarray:
+    """The distances of the pairs ``(iu[j], ku[j])``, in order."""
+    return np.array([pair(items[i], items[k]) for i, k in zip(iu.tolist(), ku.tolist())],
+                    dtype=float)
+
+
+def _pair_values(pair, items, iu, ku, shares: int) -> np.ndarray:
+    """:func:`_share` of all pairs, cut into ``shares`` contiguous shares of
+    equal count: this process computes the first, a forked child each other.
+
+    Every child is reaped before this returns or raises; if this process's
+    own share raises (a KeyboardInterrupt too), the children are killed.
+    """
+    if shares == 1:
+        return _share(pair, items, iu, ku)
+    cuts = [iu.size * s // shares for s in range(shares + 1)]
+    children = []  # (pid, read end of its pipe, pair count), not yet reaped
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append((*_fork_share(pair, items, iu[lo:hi], ku[lo:hi]), hi - lo))
+        parts = [_share(pair, items, iu[:cuts[1]], ku[:cuts[1]])]
+        while children:
+            pid, reader, count = children[0]
+            with reader:  # to EOF first: a share may not fit in the pipe's buffer
+                data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status != 0 or len(data) != 8 * count:
+                raise ChildProcessError(
+                    f"share of {count} pairs failed in process {pid}: wait status "
+                    f"{status}, {len(data)} of {8 * count} bytes")
+            parts.append(np.frombuffer(data))
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return np.concatenate(parts)
+
+
+def _fork_share(pair, items, iu, ku):
+    """Fork a child that writes :func:`_share` of its pairs to a pipe as raw
+    float64 bytes; return its pid and the read end of the pipe.
+
+    The child ends only through ``os._exit`` (0 after a full write, 1
+    otherwise), so it never flushes stdio, runs exit handlers or returns
+    into the caller.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as fh:
+                    fh.write(_share(pair, items, iu, ku).tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+    except BaseException:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, open(r, "rb")

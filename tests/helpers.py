@@ -507,13 +507,10 @@ def read_dataset_csv_rows(path, number=float) -> Dataset:
                     f"{path}: row {row_no}: negative CCD value for id {seq_id!r}"
                 )
             values[seq_id].append(value)
-    sequences = []
-    for seq_id in order:
-        try:
-            sequences.append(CcdSequence(seq_id, values[seq_id]))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-    return Dataset(tuple(sequences))
+    try:
+        return Dataset(tuple(CcdSequence(seq_id, values[seq_id]) for seq_id in order))
+    except ValueError as exc:  # a trace or the dataset (an empty one, say)
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,42 @@ def _write_mistyped_json_inputs(d):
     (d / "underscore_cell.csv").write_text(",a,b\na,0,1_5\nb,1_5,0\n")
 
 
+def _duplicate_density_id(path):
+    """Densities ``a`` and ``b`` whose ``b`` is renamed ``a``: the JSON object
+    then holds the key ``a`` twice."""
+    write_densities([normalize_leaf(CcdSequence(i, [1.0, 2.0, 4.0])) for i in "ab"], path)
+    path.write_text(path.read_text().replace('"b":{', '"a":{'))
+
+
+# input -> (subcommand and format, how to write it, stage, message after the path)
+_NAMED_INPUT_ERRORS = {
+    "header_only.csv": ("densify --format csv", lambda p: p.write_text("id,value\n"),
+                        "read-dataset", "dataset is empty"),
+    "unknown_group.json": (
+        "densify --format json",
+        lambda p: p.write_text('{"a": [1, 2, 3], "groups": {"b": "x"}}'),
+        "read-dataset", "groups refer to unknown ids: ['b']"),
+    "duplicate_id.json": (
+        "densify --format json",
+        lambda p: p.write_text('{"a": [1,2,3], "b": [1,1,1], "a": [5,5,9]}'),
+        "read-dataset", "duplicate key 'a'"),
+    "duplicate_id.densities.json": ("distmat --format densities", _duplicate_density_id,
+                                    "read-densities", "duplicate key 'a'"),
+}
+
+
+@pytest.mark.parametrize("name", _NAMED_INPUT_ERRORS)
+def test_input_error_names_the_file_once(name, tmp_path, capsys):
+    """An input error is exit 1 in its read stage, writes nothing, and names
+    the input file exactly once; a JSON key given twice is such an error."""
+    command, write, stage, message = _NAMED_INPUT_ERRORS[name]
+    path = tmp_path / name
+    write(path)
+    assert main([*command.split(), "--input", str(path), "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"leafclust: error [{stage}] {path}: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_one_leaf_densifies_and_plots(tmp_path):
     _write_one_leaf_inputs(tmp_path)
     out = tmp_path / "out"

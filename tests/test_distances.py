@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from leafclust import distances
 from leafclust import (
     TWO_PI,
     CcdSequence,
@@ -301,6 +303,63 @@ class TestPerPairOracle:
         for d in self._normalized(3):
             np.testing.assert_array_equal(trig_moments(d, r).pairs,
                                           helpers.trig_moments_loop(d, r))
+
+
+class TestSplitPairs:
+    """A matrix whose pairs are split across forked processes."""
+
+    @staticmethod
+    def _split(monkeypatch, cpus=3):
+        """Split every matrix into up to ``cpus`` shares; return the fork count."""
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(distances, "_MIN_WORK_PER_SHARE", 1)
+        monkeypatch.setattr(distances, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    @pytest.mark.parametrize("tag", list(DistanceTag), ids=lambda t: t.value)
+    def test_split_entries_equal_one_share(self, monkeypatch, tag, m):
+        dataset = synth_dataset(1, m, (50, 400), 0.02, m)
+        densities = [normalize_leaf(seq) for seq in dataset.sequences]
+        labels = [d.source_id for d in densities]
+        whole = distance_matrix(densities, labels, DistanceKind(tag)).entries
+        forks = self._split(monkeypatch)
+        split = distance_matrix(densities, labels, DistanceKind(tag)).entries
+        assert len(forks) == min(3, m * (m - 1) // 2) - 1
+        assert split.tobytes() == whole.tobytes()
+        self._assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failed_share_raises_and_leaves_no_child(self, monkeypatch, where):
+        prepare, pair = distances._KERNELS[DistanceTag.L1]
+        parent = os.getpid()
+
+        def failing(f, g):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError(f"pair failed in the {where}")
+            return pair(f, g)
+
+        monkeypatch.setitem(distances._KERNELS, DistanceTag.L1, (prepare, failing))
+        self._split(monkeypatch)
+        densities = [normalize_leaf(seq)
+                     for seq in synth_dataset(1, 7, (50, 400), 0.02, 7).sequences]
+        error = ChildProcessError if where == "child" else ValueError
+        with pytest.raises(error):
+            distance_matrix(densities, [d.source_id for d in densities],
+                            DistanceKind(DistanceTag.L1))
+        self._assert_no_child_left()
 
 
 def test_kind_requires_positive_moment_order():
