@@ -69,7 +69,8 @@ def _read_config(path: str) -> dict:
     """
     values: dict = {}
     with _stage("config", 1):
-        text = Path(path).read_text()
+        with dataio.open_text(path) as fh:
+            text = fh.read()
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -17,6 +17,7 @@ as in Newick and SVG), so values survive a write/read cycle bit-for-bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import reprlib
@@ -33,6 +34,17 @@ from .hcluster import Dendrogram, Merge, _format_length
 
 class DataFormatError(ValueError):
     """Raised when an input file cannot be parsed or violates its schema."""
+
+
+@contextlib.contextmanager
+def open_text(path, **kwargs):
+    """``open(path, **kwargs)`` to read text; a byte that the text encoding
+    cannot decode, wherever it is read, is a format error of ``path``."""
+    try:
+        with open(path, **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: cannot decode as {exc.encoding}: {exc.reason}") from None
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,7 @@ _CSV_CHUNK = 8000
 
 
 def _read_dataset_csv(path: Path) -> Dataset:
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         _skip_csv_header(path, fh)
         try:
             starts, ids, values = _csv_runs(fh)
@@ -250,7 +262,7 @@ def _read_json(path: Path, what: str, build):
         return obj
 
     try:
-        with open(path) as fh:
+        with open_text(path) as fh:
             doc = json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
@@ -319,7 +331,7 @@ def read_matrix(path, fmt: str = "csv", kind: DistanceKind | None = None) -> Dis
     """
     path = Path(path)
     if fmt == "csv":
-        with open(path, newline="") as fh:
+        with open_text(path, newline="") as fh:
             rows = list(_csv_records(path, fh))
         if not rows or rows[0][:1] != [""]:
             raise DataFormatError(f"{path}: not a labeled square matrix CSV")

@@ -9,14 +9,15 @@ only as a cross-check in the test suite.
 
 A large matrix is split across the usable CPUs: its pairs are cut into
 contiguous shares, forked child processes compute all shares but the first,
-and each sends its values back through a pipe as raw float64 bytes.  Every
-pair runs through the same code either way, so the matrix is byte-identical
-whatever the CPU count.
+and each writes its values into its own slice of one buffer that it shares
+with the parent.  Every pair runs through the same code either way, so the
+matrix is byte-identical whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import signal
 from dataclasses import dataclass
@@ -218,62 +219,41 @@ def _share(pair, items, iu, ku) -> np.ndarray:
 
 def _pair_values(pair, items, iu, ku, shares: int) -> np.ndarray:
     """:func:`_share` of all pairs, cut into ``shares`` contiguous shares of
-    equal count: this process computes the first, a forked child each other.
+    equal count: this process computes the first, a forked child each other,
+    and each writes its values into its own slice of one buffer that the
+    children share with this process.
 
+    A child ends only through ``os._exit`` (0 once its slice is written, 1
+    otherwise), so it never flushes stdio, runs exit handlers or returns into
+    the caller; any other wait status, a signal's too, fails the matrix.
     Every child is reaped before this returns or raises; if this process's
     own share raises (a KeyboardInterrupt too), the children are killed.
     """
     if shares == 1:
         return _share(pair, items, iu, ku)
+    values = np.frombuffer(mmap.mmap(-1, 8 * iu.size))  # anonymous: shared across fork
     cuts = [iu.size * s // shares for s in range(shares + 1)]
-    children = []  # (pid, read end of its pipe, pair count), not yet reaped
+    children = []  # pids not yet reaped
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append((*_fork_share(pair, items, iu[lo:hi], ku[lo:hi]), hi - lo))
-        parts = [_share(pair, items, iu[:cuts[1]], ku[:cuts[1]])]
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    values[lo:hi] = _share(pair, items, iu[lo:hi], ku[lo:hi])
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        values[:cuts[1]] = _share(pair, items, iu[:cuts[1]], ku[:cuts[1]])
         while children:
-            pid, reader, count = children[0]
-            with reader:  # to EOF first: a share may not fit in the pipe's buffer
-                data = reader.read()
-            status = os.waitpid(pid, 0)[1]
+            pid, status = os.waitpid(children[0], 0)
             children.pop(0)
-            if status != 0 or len(data) != 8 * count:
-                raise ChildProcessError(
-                    f"share of {count} pairs failed in process {pid}: wait status "
-                    f"{status}, {len(data)} of {8 * count} bytes")
-            parts.append(np.frombuffer(data))
+            if status != 0:
+                raise ChildProcessError(f"share failed in process {pid}: wait status {status}")
     finally:
-        for pid, reader, _ in children:
-            reader.close()
+        for pid in children:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return np.concatenate(parts)
-
-
-def _fork_share(pair, items, iu, ku):
-    """Fork a child that writes :func:`_share` of its pairs to a pipe as raw
-    float64 bytes; return its pid and the read end of the pipe.
-
-    The child ends only through ``os._exit`` (0 after a full write, 1
-    otherwise), so it never flushes stdio, runs exit handlers or returns
-    into the caller.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(r)
-                with open(w, "wb") as fh:
-                    fh.write(_share(pair, items, iu, ku).tobytes())
-                code = 0
-            finally:
-                os._exit(code)
-    except BaseException:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    return pid, open(r, "rb")
+    return values

@@ -345,6 +345,15 @@ def _duplicate_density_id(path):
     path.write_text(path.read_text().replace('"b":{', '"a":{'))
 
 
+def _not_utf8_density_id(path):
+    """Densities ``a`` and ``b`` whose id ``b`` is the byte 0xff."""
+    write_densities([normalize_leaf(CcdSequence(i, [1.0, 2.0, 4.0])) for i in "ab"], path)
+    path.write_bytes(path.read_bytes().replace(b'"b":{', b'"\xff":{'))
+
+
+_NOT_UTF8 = "cannot decode as utf-8: invalid start byte"
+
+
 # input -> (subcommand and format, how to write it, stage, message after the path)
 _NAMED_INPUT_ERRORS = {
     "header_only.csv": ("densify --format csv", lambda p: p.write_text("id,value\n"),
@@ -359,6 +368,20 @@ _NAMED_INPUT_ERRORS = {
         "read-dataset", "duplicate key 'a'"),
     "duplicate_id.densities.json": ("distmat --format densities", _duplicate_density_id,
                                     "read-densities", "duplicate key 'a'"),
+    "not_utf8.csv": ("densify --format csv", lambda p: p.write_bytes(b"id,value\n\xff,1\n"),
+                     "read-dataset", _NOT_UTF8),
+    # The first 8 KiB decode cleanly: the byte is met only once the vectorized read is under way.
+    "late_not_utf8.csv": (
+        "densify --format csv",
+        lambda p: p.write_bytes(b"id,value\n" + b"a,1\n" * 5000 + b"b\xff,1\n"),
+        "read-dataset", _NOT_UTF8),
+    "not_utf8.json": ("densify --format json", lambda p: p.write_bytes(b'{"a\xff": [1, 2, 3]}'),
+                      "read-dataset", _NOT_UTF8),
+    "not_utf8_matrix.csv": ("cluster --format csv",
+                            lambda p: p.write_bytes(b",a,b\na,0,1\nb\xff,1,0\n"),
+                            "read-matrix", _NOT_UTF8),
+    "not_utf8.densities.json": ("distmat --format densities", _not_utf8_density_id,
+                                "read-densities", _NOT_UTF8),
 }
 
 
@@ -372,6 +395,15 @@ def test_input_error_names_the_file_once(name, tmp_path, capsys):
     assert main([*command.split(), "--input", str(path), "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"leafclust: error [{stage}] {path}: {message}\n"
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_config_file_not_utf8_names_the_file(four_leaf_json, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"r = 3\n# \xff\n")
+    assert main(["pipeline", "--input", str(four_leaf_json), "--format", "json",
+                 "--config", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"leafclust: error [config] {config}: {_NOT_UTF8}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_one_leaf_densifies_and_plots(tmp_path):

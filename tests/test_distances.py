@@ -1,5 +1,7 @@
 import math
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -310,13 +312,13 @@ class TestSplitPairs:
 
     @staticmethod
     def _split(monkeypatch, cpus=3):
-        """Split every matrix into up to ``cpus`` shares; return the fork count."""
+        """Split every matrix into up to ``cpus`` shares; return the forked pids."""
         forks = []
         fork = os.fork
 
         def counted():
-            forks.append(1)
-            return fork()
+            forks.append(fork())
+            return forks[-1]
 
         monkeypatch.setattr(distances, "_MIN_WORK_PER_SHARE", 1)
         monkeypatch.setattr(distances, "_usable_cpus", lambda: cpus)
@@ -341,24 +343,43 @@ class TestSplitPairs:
         assert split.tobytes() == whole.tobytes()
         self._assert_no_child_left()
 
-    @pytest.mark.parametrize("where", ["child", "parent"])
+    @pytest.mark.parametrize("where", ["child", "parent", "killed", "interrupt"])
     def test_failed_share_raises_and_leaves_no_child(self, monkeypatch, where):
+        """A child that fails, or that a signal kills, fails the matrix; a
+        failure of this process's own share propagates, an interrupt too.
+        Either way every child is killed and reaped."""
         prepare, pair = distances._KERNELS[DistanceTag.L1]
         parent = os.getpid()
 
         def failing(f, g):
-            if (os.getpid() == parent) == (where == "parent"):
-                raise ValueError(f"pair failed in the {where}")
+            if os.getpid() != parent:
+                if where == "child":
+                    raise ValueError("pair failed in the child")
+                if where == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if where == "interrupt":  # only a kill ends the child in time
+                    time.sleep(60)
+                    os._exit(0)
+            elif where == "parent":
+                raise ValueError("pair failed in the parent")
+            elif where == "interrupt":
+                raise KeyboardInterrupt
             return pair(f, g)
 
         monkeypatch.setitem(distances._KERNELS, DistanceTag.L1, (prepare, failing))
-        self._split(monkeypatch)
+        forks = self._split(monkeypatch)
         densities = [normalize_leaf(seq)
                      for seq in synth_dataset(1, 7, (50, 400), 0.02, 7).sequences]
-        error = ChildProcessError if where == "child" else ValueError
-        with pytest.raises(error):
+        error = {"child": ChildProcessError, "parent": ValueError,
+                 "killed": ChildProcessError, "interrupt": KeyboardInterrupt}[where]
+        start = time.monotonic()
+        with pytest.raises(error) as raised:
             distance_matrix(densities, [d.source_id for d in densities],
                             DistanceKind(DistanceTag.L1))
+        assert time.monotonic() - start < 30
+        if where == "killed":
+            assert str(raised.value) == (
+                f"share failed in process {forks[0]}: wait status {int(signal.SIGKILL)}")
         self._assert_no_child_left()
 
 
