@@ -69,7 +69,7 @@ def _read_config(path: str) -> dict:
     """
     values: dict = {}
     with _stage("config", 1):
-        with dataio.open_text(path) as fh:
+        with dataio.open_text(path, "config") as fh:
             text = fh.read()
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()

@@ -9,6 +9,9 @@ rejects underscores and non-ASCII digits (so does the CSV matrix reader).
 JSON maps each id to its value array and may carry an optional ``groups``
 object with a plant-type label per id (the key ``groups`` is reserved).
 
+Every reader builds its result inside :func:`open_text`, so any error of an
+input file is one ``DataFormatError`` naming the file once.
+
 All writers are deterministic: identical inputs produce byte-identical
 files.  A JSON file is one compact line from Python's C encoder.  Floats are
 written as their shortest round-trip repr (in CSV without a trailing ``.0``,
@@ -20,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import re
 import reprlib
 import warnings
 from dataclasses import dataclass
@@ -37,14 +41,24 @@ class DataFormatError(ValueError):
 
 
 @contextlib.contextmanager
-def open_text(path, **kwargs):
-    """``open(path, **kwargs)`` to read text; a byte that the text encoding
-    cannot decode, wherever it is read, is a format error of ``path``."""
+def open_text(path, what: str, **kwargs):
+    """``open(path, **kwargs)`` to read a ``what`` file: the one read boundary.
+
+    What the reader raises inside becomes a ``DataFormatError`` naming ``path``
+    once: a format or ``csv`` error, an undecodable byte, invalid JSON (nested
+    too deep too), and as a bad ``what`` schema any other KeyError, TypeError,
+    ValueError or OverflowError (``float(10**400)`` overflows)."""
     try:
         with open(path, **kwargs) as fh:
             yield fh
+    except (DataFormatError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: cannot decode as {exc.encoding}: {exc.reason}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{path}: bad {what} schema: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -108,38 +122,25 @@ _CSV_CHUNK = 8000
 
 
 def _read_dataset_csv(path: Path) -> Dataset:
-    with open_text(path, newline="") as fh:
-        _skip_csv_header(path, fh)
+    with open_text(path, "dataset", newline="") as fh:
+        _skip_csv_header(fh)
         try:
             starts, ids, values = _csv_runs(fh)
         except ValueError as exc:
-            _raise_first_bad_record(path, fh)
-            raise DataFormatError(f"{path}: {exc}") from None
+            _raise_first_bad_record(fh)
+            raise DataFormatError(str(exc)) from None
         if len(set(ids)) < len(ids) or np.any(values < 0):
-            _raise_first_bad_record(path, fh)
-    blocks = np.split(values, starts[1:])
-    try:
+            _raise_first_bad_record(fh)
+        blocks = np.split(values, starts[1:])
         return Dataset(tuple(_sequence(i, v) for i, v in zip(ids, blocks)))
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _csv_records(path: Path, fh):
-    """The CSV records of ``fh``; ``csv``'s own errors (a field over its size
-    limit, say) are format errors of ``path``."""
-    try:
-        yield from csv.reader(fh)
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-
-
-def _skip_csv_header(path: Path, fh) -> None:
-    try:
-        header = next(_csv_records(path, fh))
-    except StopIteration:
-        raise DataFormatError(f"{path}: empty file") from None
+def _skip_csv_header(fh) -> None:
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataFormatError("empty file")
     if [c.strip() for c in header] != ["id", "value"]:
-        raise DataFormatError(f"{path}: expected header 'id,value', got {header}")
+        raise DataFormatError(f"expected header 'id,value', got {header}")
 
 
 def _csv_runs(fh) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -169,39 +170,30 @@ def _csv_runs(fh) -> tuple[np.ndarray, list[str], np.ndarray]:
     return np.flatnonzero(np.concatenate(firsts)), ids, np.concatenate(values)
 
 
-def _raise_first_bad_record(path: Path, fh) -> None:
-    """Name the first record the vectorized read rejected, row by row.
-
-    Rows are CSV records numbered from the header as row 1, blank records
-    included.
-    """
+def _raise_first_bad_record(fh) -> None:
+    """Name the first record the vectorized read rejected, row by row; rows are
+    CSV records numbered from the header as row 1, blank records included."""
     fh.seek(0)
-    _skip_csv_header(path, fh)
+    _skip_csv_header(fh)
     seen: set[str] = set()
     current = None
-    for row_no, row in enumerate(_csv_records(path, fh), start=2):
+    for row_no, row in enumerate(csv.reader(fh), start=2):
         if not row:
             continue
         if len(row) != 2:
-            raise DataFormatError(f"{path}: row {row_no}: expected 2 columns")
+            raise DataFormatError(f"row {row_no}: expected 2 columns")
         seq_id, raw = row
         if seq_id != current:
             if seq_id in seen:
-                raise DataFormatError(
-                    f"{path}: row {row_no}: rows for id {seq_id!r} are not contiguous"
-                )
+                raise DataFormatError(f"row {row_no}: rows for id {seq_id!r} are not contiguous")
             seen.add(seq_id)
             current = seq_id
         try:
             value = _number(raw)
         except ValueError:
-            raise DataFormatError(
-                f"{path}: row {row_no}: bad number {raw!r} for id {seq_id!r}"
-            ) from None
+            raise DataFormatError(f"row {row_no}: bad number {raw!r} for id {seq_id!r}") from None
         if value < 0:
-            raise DataFormatError(
-                f"{path}: row {row_no}: negative CCD value for id {seq_id!r}"
-            )
+            raise DataFormatError(f"row {row_no}: negative CCD value for id {seq_id!r}")
 
 
 def _number(text: str) -> float:
@@ -250,28 +242,28 @@ def _write_dataset_json(dataset: Dataset, path: Path) -> None:
 
 
 def _read_json(path: Path, what: str, build):
-    """``build(doc)`` of the JSON document in ``path``; a key repeated in an
-    object and the errors of a document of the wrong shape (a constructor's
-    ValueError too) are format errors of ``path``."""
-    def unique_keys(pairs) -> dict:
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise DataFormatError(f"{path}: duplicate key {key!r}")
-            obj[key] = value
-        return obj
+    """``build(doc)`` of the JSON document in ``path``, inside :func:`open_text`."""
+    with open_text(path, what) as fh:
+        return build(json.load(fh, object_pairs_hook=_unique_keys))
 
-    try:
-        with open_text(path) as fh:
-            doc = json.load(fh, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        return build(doc)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
-        raise DataFormatError(f"{path}: bad {what} schema: {exc}") from None
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object; a key given twice, or one that is not valid Unicode, is a format error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DataFormatError(f"duplicate key {key!r}")
+        _is_string(key)
+        obj[key] = value
+    return obj
+
+
+def _is_string(value) -> bool:
+    """Whether ``value`` is a str; JSON strings must be valid Unicode, so a lone
+    surrogate in one (read from an escape like ``"\\ud800"``) is a format error."""
+    if type(value) is str and not value.isascii() and _SURROGATE.search(value):
+        raise DataFormatError(f"{value!r} is not valid Unicode")
+    return type(value) is str
 
 
 def _dump_json(doc, path: Path) -> None:
@@ -280,6 +272,7 @@ def _dump_json(doc, path: Path) -> None:
         fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 _LABELS, _GROUPS, _NUMBERS = "a list of strings", "an object of strings", "an array of numbers"
 # The types json reads for each kind of field.  Nothing is coerced (float("1.5"),
 # bool("no") and tuple("ab") all succeed), and a bool, though a Python int, is no number.
@@ -300,7 +293,7 @@ def _json_field(record, key: str, expect: str):
             if array.dtype.kind in "iuf":
                 return array
         elif expect not in (_LABELS, _GROUPS) or all(
-                type(s) is str for s in (value.values() if expect == _GROUPS else value)):
+                map(_is_string, value.values() if expect == _GROUPS else value)):
             return value
     raise TypeError(f"{key!r} must be {expect}, got {reprlib.repr(value)}")
 
@@ -331,22 +324,22 @@ def read_matrix(path, fmt: str = "csv", kind: DistanceKind | None = None) -> Dis
     """
     path = Path(path)
     if fmt == "csv":
-        with open_text(path, newline="") as fh:
-            rows = list(_csv_records(path, fh))
-        if not rows or rows[0][:1] != [""]:
-            raise DataFormatError(f"{path}: not a labeled square matrix CSV")
-        labels = rows[0][1:]
-        if len(rows) != len(labels) + 1:
-            raise DataFormatError(f"{path}: expected {len(labels)} data rows")
-        entries = np.empty((len(labels), len(labels)))
-        for i, row in enumerate(rows[1:]):
-            if len(row) != len(labels) + 1 or row[0] != labels[i]:
-                raise DataFormatError(f"{path}: malformed row {i + 2}")
-            try:
-                entries[i] = [_number(v) for v in row[1:]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
-        return DistanceMatrix(tuple(labels), entries, kind or DistanceKind("l1"))
+        with open_text(path, "matrix", newline="") as fh:
+            rows = list(csv.reader(fh))
+            if not rows or rows[0][:1] != [""]:
+                raise DataFormatError("not a labeled square matrix CSV")
+            labels = rows[0][1:]
+            if len(rows) != len(labels) + 1:
+                raise DataFormatError(f"expected {len(labels)} data rows")
+            entries = np.empty((len(labels), len(labels)))
+            for i, row in enumerate(rows[1:]):
+                if len(row) != len(labels) + 1 or row[0] != labels[i]:
+                    raise DataFormatError(f"malformed row {i + 2}")
+                try:
+                    entries[i] = [_number(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise DataFormatError(f"row {i + 2}: {exc}") from None
+            return DistanceMatrix(tuple(labels), entries, kind or DistanceKind("l1"))
     if fmt == "json":
         def build(doc) -> DistanceMatrix:
             file_kind = DistanceKind(doc["kind"]["tag"],

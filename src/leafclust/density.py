@@ -93,7 +93,7 @@ class StepDensity:
             raise InvalidCcdError("breakpoints must be one longer than heights")
         if b[0] != 0.0 or b[-1] != TWO_PI:
             raise InvalidCcdError("support must start at 0 and end at 2*pi exactly")
-        if np.any(np.diff(b) <= 0):
+        if not np.all(np.diff(b) > 0):  # NaN too
             raise InvalidCcdError("breakpoints must be strictly increasing")
         if np.any(h < 0) or not np.all(np.isfinite(h)):
             raise InvalidCcdError("heights must be finite and nonnegative")

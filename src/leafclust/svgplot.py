@@ -39,10 +39,14 @@ def _dash(dash: str) -> str:
     return "" if dash == "none" else f' stroke-dasharray="{dash}"'
 
 
+# Markup characters escaped, and the code points XML 1.0 forbids (C0 controls
+# but tab, LF and CR; U+FFFE, U+FFFF) replaced by U+FFFD, so any id keeps the SVG well-formed.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
+    [chr(c) for c in (*range(32), 0xFFFE, 0xFFFF) if c not in (9, 10, 13)], "\ufffd")})
+
+
 def _esc(text: str) -> str:
-    return (
-        str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+    return str(text).translate(_ESCAPES)
 
 
 class SvgCanvas:

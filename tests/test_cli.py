@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -351,7 +352,29 @@ def _not_utf8_density_id(path):
     path.write_bytes(path.read_bytes().replace(b'"b":{', b'"\xff":{'))
 
 
+def _nan_breakpoint(path):
+    """Densities ``a`` and ``b`` whose ``a`` has a NaN breakpoint, which JSON reads."""
+    write_densities([normalize_leaf(CcdSequence(i, [1.0, 2.0, 4.0])) for i in "ab"], path)
+    doc = json.loads(path.read_text())
+    doc["densities"]["a"]["breakpoints"][1] = math.nan
+    path.write_text(json.dumps(doc))
+
+
 _NOT_UTF8 = "cannot decode as utf-8: invalid start byte"
+# JSON nested too deep for the decoder, and an integer with more digits than
+# int() converts by default: their messages come from the Python version's json.
+_DEEP_JSON = '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}"
+_HUGE_INT_JSON = '{"a": [1' + "0" * 4999 + ', 2, 3], "b": [1, 2, 1]}'
+
+
+def _json_loads_error(text):
+    """How the dataset reader reports the error ``json.loads(text)`` raises."""
+    try:
+        json.loads(text)
+    except RecursionError as exc:
+        return f"invalid JSON: {exc}"
+    except ValueError as exc:
+        return f"bad dataset schema: {exc}"
 
 
 # input -> (subcommand and format, how to write it, stage, message after the path)
@@ -382,6 +405,28 @@ _NAMED_INPUT_ERRORS = {
                             "read-matrix", _NOT_UTF8),
     "not_utf8.densities.json": ("distmat --format densities", _not_utf8_density_id,
                                 "read-densities", _NOT_UTF8),
+    "deep.json": ("densify --format json", lambda p: p.write_text(_DEEP_JSON),
+                  "read-dataset", _json_loads_error(_DEEP_JSON)),
+    "huge_int.json": ("densify --format json", lambda p: p.write_text(_HUGE_INT_JSON),
+                      "read-dataset", _json_loads_error(_HUGE_INT_JSON)),
+    "asymmetric_matrix.csv": ("cluster --format csv",
+                              lambda p: p.write_text(",a,b\na,0,1\nb,2,0\n"),
+                              "read-matrix", "bad matrix schema: entries must be exactly symmetric"),
+    "duplicate_label_matrix.csv": (
+        "cluster --format csv", lambda p: p.write_text(",a,a\na,0,1\na,1,0\n"),
+        "read-matrix", "bad matrix schema: duplicate labels in distance matrix"),
+    "nan_breakpoint.densities.json": (
+        "distmat --format densities", _nan_breakpoint,
+        "read-densities", "bad densities schema: breakpoints must be strictly increasing"),
+    # "\ud800" is a lone surrogate: JSON reads it, UTF-8 cannot encode it.
+    "surrogate_id.json": (
+        "pipeline --format json",
+        lambda p: p.write_text('{"a\\ud800": [1, 2, 3, 4], "c": [2, 1, 2, 1]}'),
+        "read-dataset", "'a\\ud800' is not valid Unicode"),
+    "surrogate_group.json": (
+        "densify --format json",
+        lambda p: p.write_text('{"a": [1, 2, 3], "groups": {"a": "x\\udfff"}}'),
+        "read-dataset", "'x\\udfff' is not valid Unicode"),
 }
 
 
@@ -395,6 +440,21 @@ def test_input_error_names_the_file_once(name, tmp_path, capsys):
     assert main([*command.split(), "--input", str(path), "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"leafclust: error [{stage}] {path}: {message}\n"
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_control_character_ids_keep_every_svg_well_formed(tmp_path):
+    """Code points XML 1.0 forbids are drawn as U+FFFD; markup is escaped."""
+    data = tmp_path / "ids.json"
+    data.write_text(json.dumps({"a\x0cb": [1, 2, 3, 4], "c": [2, 1, 2, 1], 'd"e': [1, 1, 3, 1]}))
+    assert run("pipeline", "--input", data, "--format", "json", "--distance", "l1",
+               "--outdir", tmp_path / "out") == 0
+    svgs = sorted((tmp_path / "out").glob("*.svg"))
+    assert len(svgs) == 5
+    for svg in svgs:
+        ET.parse(svg)  # raises on malformed XML
+    labels = {e.text for e in ET.parse(tmp_path / "out" / "dendrogram_l1.svg").iter()
+              if e.tag.endswith("text")}
+    assert {"a\ufffdb", "c", 'd"e'} <= labels
 
 
 def test_config_file_not_utf8_names_the_file(four_leaf_json, tmp_path, capsys):

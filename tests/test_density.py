@@ -114,6 +114,12 @@ class TestStepDensityValidation:
             StepDensity(np.array([0.0, 4.0, 3.0, TWO_PI]),
                         np.array([0.1, 0.1, 0.1]))
 
+    def test_rejects_nan_breakpoint(self):
+        # Every comparison with NaN is false, so only a check that all steps
+        # are positive rejects it.
+        with pytest.raises(InvalidCcdError, match="strictly increasing"):
+            StepDensity(np.array([0.0, math.nan, TWO_PI]), np.array([1.0, 1.0]) / TWO_PI)
+
     def test_rejects_negative_heights(self):
         b = np.array([0.0, math.pi, TWO_PI])
         with pytest.raises(InvalidCcdError):
