@@ -81,6 +81,8 @@ def _read_config(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
+            if key == "config":
+                raise ValueError(f"{path}:{line_no}: a config file cannot name another config file")
             try:
                 values[key] = _config_value(key, value.strip())
             except ValueError as exc:

@@ -140,7 +140,7 @@ def _skip_csv_header(fh) -> None:
     if header is None:
         raise DataFormatError("empty file")
     if [c.strip() for c in header] != ["id", "value"]:
-        raise DataFormatError(f"expected header 'id,value', got {header}")
+        raise DataFormatError(f"expected header 'id,value', got {reprlib.repr(header)}")
 
 
 def _csv_runs(fh) -> tuple[np.ndarray, list[str], np.ndarray]:

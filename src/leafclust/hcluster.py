@@ -12,6 +12,12 @@ by the product of cluster sizes, so every height is a block sum over a
 block size.  Each step is O(m^2) vectorized work.  Among the pairs at the
 minimal height the one with the smallest (smaller id, larger id) node ids
 merges, so runs are reproducible.
+
+Every tree product reads one pass over the merges, ``_layout``: each merge
+puts the child holding the smaller leaf first and links that child's last
+leaf to the other's first, so a node's leaves run along the links from its
+first (smallest) leaf to its last.  ``leaf_order`` and ``cut`` walk them;
+``to_newick`` and ``svgplot.plot_dendrogram`` take the ordered children.
 """
 
 from __future__ import annotations
@@ -60,23 +66,23 @@ class Dendrogram:
             raise ValueError(f"a dendrogram needs at least 2 leaves, got {m}")
         if len(merges) != m - 1:
             raise ValueError(f"expected {m - 1} merges for {m} leaves")
-        seen_children = set()
+        seen_children, sizes = set(), [1] * m
         for i, mg in enumerate(merges):
-            limit = m + i
             for child in (mg.left, mg.right):
-                if not 0 <= child < limit:
+                if not 0 <= child < m + i:
                     raise ValueError(f"merge {i}: child id {child} out of range")
                 if child in seen_children:
                     raise ValueError(f"merge {i}: child id {child} reused")
                 seen_children.add(child)
+            sizes.append(sizes[mg.left] + sizes[mg.right])
+            if mg.size != sizes[-1]:
+                raise ValueError(f"merge {i}: size {mg.size}, but its children hold {sizes[-1]}")
             if not np.isfinite(mg.height):
                 raise ValueError(f"merge {i}: height must be finite")
             if mg.height < 0:
                 raise ValueError(f"merge {i}: negative height")
             if i > 0 and mg.height < merges[i - 1].height:
                 raise ValueError(f"merge {i}: heights must be non-decreasing")
-        if merges[-1].size != m:
-            raise ValueError("final merge must contain every leaf")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "merges", merges)
 
@@ -150,6 +156,21 @@ def agglomerate(dm: DistanceMatrix, linkage: Linkage = Linkage.COMPLETE) -> Dend
     return Dendrogram(dm.labels, tuple(merges))
 
 
+def _layout(dend: Dendrogram):
+    """Each merge's (left, right) children, each node's first and last leaf,
+    and each leaf's successor (None for the last) in the layout."""
+    m = dend.n_leaves
+    first, last, successor = list(range(m)), list(range(m)), [None] * m
+    children = []
+    for mg in dend.merges:
+        left, right = sorted((mg.left, mg.right), key=first.__getitem__)
+        children.append((left, right))
+        successor[last[left]] = first[right]
+        first.append(first[left])
+        last.append(last[right])
+    return children, first, last, successor
+
+
 def cut(dend: Dendrogram, k: int) -> list[int]:
     """Assign each leaf to one of k flat clusters.
 
@@ -160,46 +181,28 @@ def cut(dend: Dendrogram, k: int) -> list[int]:
     m = dend.n_leaves
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
+    _, first, last, successor = _layout(dend)
     # After the first m-k merges the clusters are the nodes below 2m-k
     # that none of those merges consumed.
     consumed = {child for mg in dend.merges[: m - k] for child in (mg.left, mg.right)}
-    sets = dend.leaf_sets()
-    components = sorted((sets[node] for node in range(2 * m - k) if node not in consumed),
-                        key=min)
+    roots = sorted((node for node in range(2 * m - k) if node not in consumed),
+                   key=first.__getitem__)
     assignment = [0] * m
-    for cluster_id, leaves in enumerate(components):
-        for leaf in leaves:
+    for cluster_id, node in enumerate(roots):
+        leaf = first[node]
+        assignment[leaf] = cluster_id
+        while leaf != last[node]:
+            leaf = successor[leaf]
             assignment[leaf] = cluster_id
     return assignment
 
 
-def _ordered_children(dend: Dendrogram) -> dict[int, tuple[int, int]]:
-    """Children of each internal node, smaller subtree-minimum leaf first."""
-    m = dend.n_leaves
-    min_leaf = list(range(m)) + [0] * (m - 1)
-    children: dict[int, tuple[int, int]] = {}
-    for i, mg in enumerate(dend.merges):
-        node = m + i
-        left, right = sorted((mg.left, mg.right), key=lambda c: min_leaf[c])
-        children[node] = (left, right)
-        min_leaf[node] = min_leaf[left]
-    return children
-
-
 def leaf_order(dend: Dendrogram) -> list[int]:
     """Left-to-right leaf indices of the deterministic tree layout."""
-    m = dend.n_leaves
-    children = _ordered_children(dend)
-    order: list[int] = []
-    stack = [2 * m - 2]
-    while stack:
-        node = stack.pop()
-        if node < m:
-            order.append(node)
-        else:
-            left, right = children[node]
-            stack.append(right)
-            stack.append(left)
+    _, first, _, successor = _layout(dend)
+    order = [first[-1]]
+    while successor[order[-1]] is not None:
+        order.append(successor[order[-1]])
     return order
 
 
@@ -217,27 +220,11 @@ def to_newick(dend: Dendrogram) -> str:
     """
     m = dend.n_leaves
     heights = [0.0] * m + [mg.height for mg in dend.merges]
-    children = _ordered_children(dend)
-    parts: list[str] = []
-    # An explicit stack instead of recursion, so chained trees of any depth
-    # serialize.  Entries are text to emit or (node, parent height) to expand.
-    stack: list = [";", (2 * m - 2, None)]
-    while stack:
-        entry = stack.pop()
-        if isinstance(entry, str):
-            parts.append(entry)
-            continue
-        node, parent_height = entry
-        length = ""
-        if parent_height is not None:
-            length = ":" + _format_length(parent_height - heights[node])
-        if node < m:
-            parts.append(_escape_label(dend.labels[node]) + length)
-        else:
-            left, right = children[node]
-            parts.append("(")
-            stack += [")" + length, (right, heights[node]), ",", (left, heights[node])]
-    return "".join(parts)
+    texts = {leaf: _escape_label(label) for leaf, label in enumerate(dend.labels)}
+    for node, (left, right) in enumerate(_layout(dend)[0], m):
+        texts[node] = (f"({texts.pop(left)}:{_format_length(heights[node] - heights[left])},"
+                       f"{texts.pop(right)}:{_format_length(heights[node] - heights[right])})")
+    return texts[2 * m - 2] + ";"
 
 
 _NEWICK_UNSAFE = set("():;,[]' \t\n")

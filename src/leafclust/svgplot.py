@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import TWO_PI, LeafOutline, StepDensity
-from .hcluster import Dendrogram, _format_length as _num, leaf_order
+from .hcluster import Dendrogram, _format_length as _num, _layout, leaf_order
 
 PALETTE = (
     "#1b6ca8", "#d1495b", "#66a182", "#edae49",
@@ -253,14 +253,12 @@ def plot_dendrogram(dend: Dendrogram, path, title: str = "") -> None:
     for slot, leaf in enumerate(order):
         xpos[leaf] = slot + 0.5
     heights = [0.0] * m + [mg.height for mg in dend.merges]
-    for i, mg in enumerate(dend.merges):
-        # Sibling subtrees hold disjoint leaf slots, so their x never tie.
-        (xl, yl), (xr, yr) = sorted(((xpos[mg.left], heights[mg.left]),
-                                     (xpos[mg.right], heights[mg.right])))
-        xpos[m + i] = (xl + xr) / 2
+    for node, (left, right) in enumerate(_layout(dend)[0], m):
+        xl, xr, y = xpos[left], xpos[right], heights[node]
+        xpos[node] = (xl + xr) / 2
         canvas.add(
-            f'<path d="M {_num(xl)} {_num(yl)} L {_num(xl)} {_num(mg.height)}'
-            f' L {_num(xr)} {_num(mg.height)} L {_num(xr)} {_num(yr)}"'
+            f'<path d="M {_num(xl)} {_num(heights[left])} L {_num(xl)} {_num(y)}'
+            f' L {_num(xr)} {_num(y)} L {_num(xr)} {_num(heights[right])}"'
             f' fill="none" stroke="#333333" stroke-width="1.2"'
             f' vector-effect="non-scaling-stroke"/>'
         )

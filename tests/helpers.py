@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import reprlib
 from collections import Counter
 
 import numpy as np
@@ -438,6 +439,13 @@ def parse_newick(text: str):
     return tree
 
 
+def newick_leaves(tree) -> list[str]:
+    """Leaf labels of a parsed Newick tree, left to right."""
+    if tree[0] == "leaf":
+        return [tree[1]]
+    return [label for child in tree[1] for label in newick_leaves(child)]
+
+
 def newick_node_heights(tree) -> dict[frozenset, float]:
     """Heights of internal nodes of an ultrametric Newick tree.
 
@@ -477,7 +485,8 @@ def read_dataset_csv_rows(path, number=float) -> Dataset:
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         if [c.strip() for c in header] != ["id", "value"]:
-            raise DataFormatError(f"{path}: expected header 'id,value', got {header}")
+            raise DataFormatError(
+                f"{path}: expected header 'id,value', got {reprlib.repr(header)}")
         order: list[str] = []
         values: dict[str, list[float]] = {}
         finished: set[str] = set()

@@ -208,6 +208,7 @@ EXIT_CODES = [
     _config_case("format = xml", command="densify"),
     _config_case("no_plots = maybe"),
     _config_case("linkge = single"),
+    _config_case("config = other.cfg"),
     _case("config", 1, "distmat --input {d}/four.json --format json --r abc --outdir {d}/out",
           name="config-flag-r-abc"),
     _case("config", 1, "pipeline --input {d}/four.json --format json --distance foo "
@@ -254,6 +255,9 @@ EXIT_CODES = [
     _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
                                 "--dendrogram {d}/one_leaf.json --outdir {d}/out",
           name="read-dendrogram-one-leaf"),
+    _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
+                                "--dendrogram {d}/bad_size.json --outdir {d}/out",
+          name="read-dendrogram-sizes-do-not-add-up"),
     _case("synth", 1, "synth --n-min 50 --n-max 10 --output {d}/s.json"),
     _case("synth", 1, "synth --groups 1 --per-group 2 --n-min 10 --n-max 20 --noise nan "
                       "--output {d}/s.json", name="synth-noise-nan"),
@@ -283,7 +287,7 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, fou
     d = four_leaf_json.parent
     _write_one_leaf_inputs(d)
     _write_long_field_inputs(d)
-    _write_non_finite_dendrograms(d)
+    _write_bad_dendrograms(d)
     _write_mistyped_json_inputs(d)
     if broken is not None:
         monkeypatch.setattr(cli, broken, _fail)
@@ -313,11 +317,13 @@ def _write_long_field_inputs(d):
     (d / "long_cell.csv").write_text(f",a,b\na,0,{pad}1\nb,1,0\n")
 
 
-def _write_non_finite_dendrograms(d):
+def _write_bad_dendrograms(d):
     """Dendrograms of four.json whose last merge height is ``Infinity`` or
-    ``NaN``, both of which Python's JSON reader accepts."""
-    for name, height in (("inf_height", math.inf), ("nan_height", math.nan)):
-        merges = [(0, 1, 1.0, 2), (2, 3, 2.0, 2), (4, 5, height, 4)]
+    ``NaN``, both of which Python's JSON reader accepts, or whose first merge
+    claims 7 leaves."""
+    for name, height, size in (("inf_height", math.inf, 2), ("nan_height", math.nan, 2),
+                               ("bad_size", 3.0, 7)):
+        merges = [(0, 1, 1.0, size), (2, 3, 2.0, 2), (4, 5, height, 4)]
         (d / f"{name}.json").write_text(json.dumps({
             "labels": ["s0", "s1", "s2", "s3"],
             "merges": [dict(zip(("left", "right", "height", "size"), m)) for m in merges]}))
@@ -377,6 +383,8 @@ def _json_loads_error(text):
         return f"bad dataset schema: {exc}"
 
 
+_JSON_DATASET = json.dumps({f"s{i}": list(range(i, i + 300)) for i in range(40)})
+
 # input -> (subcommand and format, how to write it, stage, message after the path)
 _NAMED_INPUT_ERRORS = {
     "header_only.csv": ("densify --format csv", lambda p: p.write_text("id,value\n"),
@@ -409,6 +417,10 @@ _NAMED_INPUT_ERRORS = {
                   "read-dataset", _json_loads_error(_DEEP_JSON)),
     "huge_int.json": ("densify --format json", lambda p: p.write_text(_HUGE_INT_JSON),
                       "read-dataset", _json_loads_error(_HUGE_INT_JSON)),
+    # A JSON dataset read as CSV: its first record is the whole document.
+    "dataset.json": (
+        "densify --format csv", lambda p: p.write_text(_JSON_DATASET), "read-dataset",
+        "expected header 'id,value', got ['{\"s0\": [0', ' 1', ' 2', ' 3', ' 4', ' 5', ...]"),
     "asymmetric_matrix.csv": ("cluster --format csv",
                               lambda p: p.write_text(",a,b\na,0,1\nb,2,0\n"),
                               "read-matrix", "bad matrix schema: entries must be exactly symmetric"),
@@ -432,13 +444,16 @@ _NAMED_INPUT_ERRORS = {
 
 @pytest.mark.parametrize("name", _NAMED_INPUT_ERRORS)
 def test_input_error_names_the_file_once(name, tmp_path, capsys):
-    """An input error is exit 1 in its read stage, writes nothing, and names
-    the input file exactly once; a JSON key given twice is such an error."""
+    """An input error is exit 1 in its read stage, writes nothing, names
+    the input file exactly once and stays under 1 KB, however large the
+    input; a JSON key given twice is such an error."""
     command, write, stage, message = _NAMED_INPUT_ERRORS[name]
     path = tmp_path / name
     write(path)
     assert main([*command.split(), "--input", str(path), "--outdir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"leafclust: error [{stage}] {path}: {message}\n"
+    err = capsys.readouterr().err
+    assert err == f"leafclust: error [{stage}] {path}: {message}\n"
+    assert len(err.encode()) < 1024
     assert sorted(tmp_path.iterdir()) == [path]
 
 

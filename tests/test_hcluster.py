@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
@@ -284,6 +285,65 @@ class TestCut:
                     assert cut(dend, k) == helpers.cut_union_find(dend, k)
 
 
+def chain(m, grow):
+    """A dendrogram that adds one leaf per merge: in increasing index order
+    (``grow="left"``, the tree deepens along its left children) or in
+    decreasing order (``"right"``), merge i at height i + 1."""
+    leaves = list(range(m)) if grow == "left" else list(range(m - 1, -1, -1))
+    merges = [Merge(leaves[0], leaves[1], 1.0, 2)] + [
+        Merge(m + i - 1, leaves[i + 1], float(i + 1), i + 2) for i in range(1, m - 1)]
+    return Dendrogram(tuple(f"x{i}" for i in range(m)), tuple(merges))
+
+
+@st.composite
+def _dendrograms(draw):
+    """Any valid dendrogram, not only one ``agglomerate`` builds: a random
+    merge order, or a chain grown on the left or on the right; either child
+    may be named first, and labels may need Newick quoting."""
+    m = draw(st.integers(2, 30))
+    shape = draw(st.sampled_from(["random", "left", "right"]))
+    rng = draw(st.randoms(use_true_random=False))
+    labels = [rng.choice(("x", "x y", "x'", "(x:")) + str(i) for i in range(m)]
+    active = list(range(m)) if shape != "right" else list(range(m - 1, -1, -1))
+    sizes, merges, height = [1] * m, [], 0.0
+    for node in range(m, 2 * m - 1):
+        if shape == "random":
+            pair = [active.pop(rng.randrange(len(active))) for _ in range(2)]
+        else:
+            pair = [active.pop(0), active.pop(0)]
+        if rng.random() < 0.5:
+            pair.reverse()
+        height += rng.choice((0.0, 1.0, rng.uniform(0.0, 10.0)))
+        sizes.append(sizes[pair[0]] + sizes[pair[1]])
+        merges.append(Merge(*pair, height, sizes[-1]))
+        active.insert(0, node)
+    return Dendrogram(tuple(labels), tuple(merges))
+
+
+class TestLayout:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_dendrograms())
+    def test_newick_leaf_order_and_cut_agree_with_the_oracles(self, dend):
+        m = dend.n_leaves
+        tree = helpers.parse_newick(to_newick(dend))
+        assert helpers.newick_leaves(tree) == [dend.labels[i] for i in leaf_order(dend)]
+        heights, _ = helpers.newick_node_heights(tree)
+        sets = dend.leaf_sets()
+        for i, mg in enumerate(dend.merges):
+            leaves = frozenset(dend.labels[j] for j in sets[m + i])
+            assert heights[leaves] == pytest.approx(mg.height, rel=1e-9, abs=1e-9)
+        for k in range(1, m + 1):
+            assert cut(dend, k) == helpers.cut_union_find(dend, k)
+
+    def test_cut_deep_chains(self):
+        m = 5000
+        left, right = chain(m, "left"), chain(m, "right")
+        for k in (1, 2, 3, m // 2, m - 1, m):
+            assert cut(left, k) == [0] * (m - k + 1) + list(range(1, k))
+            assert cut(right, k) == list(range(k - 1)) + [k - 1] * (m - k + 1)
+        assert leaf_order(left) == leaf_order(right) == list(range(m))
+
+
 class TestNewick:
     def test_two_leaves(self):
         dm = matrix_from([[0.0, 1.0], [1.0, 0.0]])
@@ -332,6 +392,15 @@ class TestNewick:
             depth += {"(": 1, ")": -1}.get(ch, 0)
             assert depth >= 0
         assert depth == 0
+        # The mirror image: each merge adds the next smaller leaf, which the
+        # layout puts first, so the tree deepens along its right children.
+        dend = chain(m, "right")
+        text = to_newick(dend)
+        assert text.startswith(f"(x0:{m - 1},(x1:{m - 2},(x2:{m - 3},")
+        assert text.endswith(f"(x{m - 2}:1,x{m - 1}:1)" + ":1)" * (m - 2) + ";")
+        assert text.count("(") == text.count(")") == m - 1
+        assert re.findall(r"x\d+", text) == [f"x{i}" for i in leaf_order(dend)] == \
+            [f"x{i}" for i in range(m)]
 
     def test_leaf_order_matches_newick(self):
         dend = agglomerate(THREE, Linkage.COMPLETE)
@@ -354,6 +423,12 @@ class TestDendrogramValidation:
         with pytest.raises(ValueError, match="merge 1: height must be finite"):
             Dendrogram(("a", "b", "c"),
                        (Merge(0, 1, 1.0, 2), Merge(3, 2, height, 3)))
+
+    def test_rejects_sizes_that_do_not_add_up(self):
+        with pytest.raises(ValueError, match="merge 0: size 7, but its children hold 2"):
+            Dendrogram(("a", "b", "c"), (Merge(0, 1, 1.0, 7), Merge(3, 2, 2.0, 3)))
+        with pytest.raises(ValueError, match="merge 1: size 4, but its children hold 3"):
+            Dendrogram(("a", "b", "c"), (Merge(0, 1, 1.0, 2), Merge(3, 2, 2.0, 4)))
 
     def test_rejects_wrong_merge_count(self):
         with pytest.raises(ValueError):
