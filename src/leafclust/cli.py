@@ -3,7 +3,10 @@
 Every pipeline stage is its own subcommand so intermediate artifacts can be
 produced and inspected independently; ``pipeline`` chains them all.  Flags
 override an optional ``key=value`` config file, which overrides built-in
-defaults.  Exit codes: 0 success, 1 input error, 2 computation error.
+defaults.  Each step, flag and config parsing included, runs in a named
+``_stage``, the one failure boundary; ``main`` alone returns the exit code,
+which the stage name decides: 1 for the input stages ``config``, ``synth``,
+``write`` and ``read-*``, 2 for every other stage, 0 on success.
 """
 
 from __future__ import annotations
@@ -45,21 +48,21 @@ _OPTIONS = {
 
 
 class StageError(Exception):
-    """A pipeline stage failed; carries the exit code to report."""
+    """A pipeline stage failed; its exit code follows from the stage name."""
 
-    def __init__(self, stage: str, message: str, code: int):
+    def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-        self.code = code
+        self.code = 1 if stage in ("config", "synth", "write") or stage.startswith("read-") else 2
 
 
 @contextmanager
-def _stage(name: str, code: int):
+def _stage(name: str):
     """Report an OSError or ValueError raised inside as a failure of stage ``name``."""
     try:
         yield
     except (OSError, ValueError) as exc:
-        raise StageError(name, str(exc), code) from exc
+        raise StageError(name, str(exc)) from exc
 
 
 def _read_config(path: str) -> dict:
@@ -68,25 +71,24 @@ def _read_config(path: str) -> dict:
     A key may name an option this subcommand does not use: one file can serve several.
     """
     values: dict = {}
-    with _stage("config", 1):
-        with dataio.open_text(path, "config") as fh:
-            text = fh.read()
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _OPTIONS:
-                raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
-            if key == "config":
-                raise ValueError(f"{path}:{line_no}: a config file cannot name another config file")
-            try:
-                values[key] = _config_value(key, value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    with dataio.open_text(path, "config") as fh:
+        text = fh.read()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _OPTIONS:
+            raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
+        if key == "config":
+            raise ValueError(f"{path}:{line_no}: a config file cannot name another config file")
+        try:
+            values[key] = _config_value(key, value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return values
 
 
@@ -120,10 +122,12 @@ class Options:
         self._config = _read_config(config_path) if config_path else {}
         r = self.get("r")
         if r < 1:
-            raise StageError("config", f"moment order r must be >= 1, got {r}", 1)
+            raise ValueError(f"moment order r must be >= 1, got {r}")
         k = self.get("cut")
         if k is not None and k < 1:
-            raise StageError("config", f"cut must be >= 1, got {k}", 1)
+            raise ValueError(f"cut must be >= 1, got {k}")
+        if "input" in vars(args) and self.get("input") is None:
+            raise ValueError("missing required option --input")
 
     def get(self, key: str):
         if key in self._flags:
@@ -132,17 +136,11 @@ class Options:
             return self._config[key]
         return _OPTIONS[key][0]
 
-    def require(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise StageError("config", f"missing required option --{key.replace('_', '-')}", 1)
-        return value
-
 
 def _load_dataset(opts: Options, min_leaves: int = 1) -> dataio.Dataset:
-    path = opts.require("input")
+    path = opts.get("input")
     fmt = opts.get("format")
-    with _stage("read-dataset", 1):
+    with _stage("read-dataset"):
         dataset = dataio.read_dataset(path, fmt)
         _require_leaves(path, len(dataset.sequences), min_leaves)
     return dataset
@@ -155,13 +153,13 @@ def _require_leaves(path, count: int, min_leaves: int) -> None:
 
 
 def _normalize_all(dataset: dataio.Dataset):
-    with _stage("normalize", 2):
+    with _stage("normalize"):
         return [normalize_leaf(seq) for seq in dataset.sequences]
 
 
 def _outdir(opts: Options) -> Path:
     out = Path(opts.get("outdir"))
-    with _stage("write", 1):
+    with _stage("write"):
         out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -174,7 +172,7 @@ def _writing(path: Path):
     broken pipe stdout points at the null device, so later lines and the
     flush at exit go nowhere instead of failing.
     """
-    with _stage("write", 1):
+    with _stage("write"):
         yield
     try:
         print(f"wrote {path}", flush=True)
@@ -188,8 +186,8 @@ def _writing(path: Path):
 # subcommands
 
 
-def cmd_synth(opts: Options) -> int:
-    with _stage("synth", 1):
+def cmd_synth(opts: Options) -> None:
+    with _stage("synth"):
         dataset = synth.synth_dataset(
             opts.get("groups"), opts.get("per_group"), (opts.get("n_min"), opts.get("n_max")),
             opts.get("noise"), opts.get("seed"),
@@ -197,23 +195,21 @@ def cmd_synth(opts: Options) -> int:
     out = Path(opts.get("output"))
     with _writing(out):
         dataio.write_dataset(dataset, out, fmt="json")
-    return 0
 
 
-def cmd_densify(opts: Options) -> int:
+def cmd_densify(opts: Options) -> None:
     dataset = _load_dataset(opts)
     densities = _normalize_all(dataset)
     out = _outdir(opts) / "densities.json"
     with _writing(out):
         dataio.write_densities(densities, out)
-    return 0
 
 
 def _densities_for_distmat(opts: Options):
     fmt = opts.get("format")
     if fmt == "densities":
-        path = opts.require("input")
-        with _stage("read-densities", 1):
+        path = opts.get("input")
+        with _stage("read-densities"):
             densities = dataio.read_densities(path)
             _require_leaves(path, len(densities), 2)
         return densities
@@ -227,7 +223,7 @@ def _distance_stage(opts: Options, densities, out: Path):
     matrices = []
     for tag in list(DistanceTag) if name == "all" else [DistanceTag(name)]:
         kind = DistanceKind(tag, opts.get("r"))
-        with _stage(f"distances-{kind.name}", 2):
+        with _stage(f"distances-{kind.name}"):
             dm = distance_matrix(densities, labels, kind)
         for fmt in ("csv", "json"):
             path = out / f"matrix_{kind.name}.{fmt}"
@@ -237,25 +233,22 @@ def _distance_stage(opts: Options, densities, out: Path):
     return matrices
 
 
-def cmd_distmat(opts: Options) -> int:
+def cmd_distmat(opts: Options) -> None:
     densities = _densities_for_distmat(opts)
     _distance_stage(opts, densities, _outdir(opts))
-    return 0
 
 
-def cmd_cluster(opts: Options) -> int:
-    path = opts.require("input")
-    with _stage("read-matrix", 1):
-        dm = dataio.read_matrix(path, opts.get("format"))
+def cmd_cluster(opts: Options) -> None:
+    with _stage("read-matrix"):
+        dm = dataio.read_matrix(opts.get("input"), opts.get("format"))
     _cluster_stage(opts, dm, _outdir(opts), "", plot=False)
-    return 0
 
 
 def _cluster_stage(opts: Options, dm, out: Path, suffix: str, plot: bool) -> None:
     """Cluster one matrix and write ``dendrogram<suffix>.json``/``.nwk``, with
     ``--cut`` also ``clusters<suffix>.json`` and with ``plot`` the tree's SVG."""
     linkage = opts.get("linkage")
-    with _stage("cluster", 2):
+    with _stage("cluster"):
         dend = agglomerate(dm, Linkage(linkage))
     json_path = out / f"dendrogram{suffix}.json"
     with _writing(json_path):
@@ -265,7 +258,7 @@ def _cluster_stage(opts: Options, dm, out: Path, suffix: str, plot: bool) -> Non
         nwk_path.write_text(to_newick(dend) + "\n")
     k = opts.get("cut")
     if k is not None:
-        with _stage("cut", 2):
+        with _stage("cut"):
             assignment = cut(dend, k)
         clusters_path = out / f"clusters{suffix}.json"
         with _writing(clusters_path):
@@ -276,11 +269,11 @@ def _cluster_stage(opts: Options, dm, out: Path, suffix: str, plot: bool) -> Non
             svgplot.plot_dendrogram(dend, svg_path, title=f"{linkage} linkage, {dm.kind.name}")
 
 
-def cmd_plot(opts: Options) -> int:
+def cmd_plot(opts: Options) -> None:
     dataset = _load_dataset(opts)
     dend_path, dend = opts.get("dendrogram"), None
     if dend_path is not None:  # read before any SVG is written
-        with _stage("read-dendrogram", 1):
+        with _stage("read-dendrogram"):
             dend = dataio.read_dendrogram(dend_path)
     out = _outdir(opts)
     _plot_dataset(dataset, out)
@@ -288,12 +281,11 @@ def cmd_plot(opts: Options) -> int:
         path = out / "dendrogram.svg"
         with _writing(path):
             svgplot.plot_dendrogram(dend, path)
-    return 0
 
 
 def _plot_dataset(dataset: dataio.Dataset, out: Path) -> None:
     normalized = _normalize_all(dataset)
-    with _stage("plot", 2):
+    with _stage("plot"):
         raw = [density_from_ccd(seq) for seq in dataset.sequences]
         flat = [leaf_outline(d) for d in raw]
         turned = [leaf_outline(d, n.rotation) for d, n in zip(raw, normalized)]
@@ -313,7 +305,7 @@ def _plot_dataset(dataset: dataio.Dataset, out: Path) -> None:
             svgplot.plot_leaves(outlines, path)
 
 
-def cmd_pipeline(opts: Options) -> int:
+def cmd_pipeline(opts: Options) -> None:
     dataset = _load_dataset(opts, min_leaves=2)
     out = _outdir(opts)
     densities = _normalize_all(dataset)
@@ -322,7 +314,6 @@ def cmd_pipeline(opts: Options) -> int:
         _cluster_stage(opts, dm, out, f"_{dm.kind.name}", plots)
     if plots:
         _plot_dataset(dataset, out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +327,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a bad or unknown flag fails as a bad config value does
-        raise StageError("config", message, 1)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,14 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(Options(args))
+        with _stage("config"):  # SystemExit from -h passes through
+            args = build_parser().parse_args(argv)
+            opts = Options(args)
+        args.func(opts)
     except StageError as exc:
         print(f"leafclust: error {exc}", file=sys.stderr)
         return exc.code
     except Exception as exc:  # pragma: no cover - unexpected failure
         print(f"leafclust: internal error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -185,15 +185,18 @@ def _raise_first_bad_record(fh) -> None:
         seq_id, raw = row
         if seq_id != current:
             if seq_id in seen:
-                raise DataFormatError(f"row {row_no}: rows for id {seq_id!r} are not contiguous")
+                raise DataFormatError(
+                    f"row {row_no}: rows for id {reprlib.repr(seq_id)} are not contiguous")
             seen.add(seq_id)
             current = seq_id
         try:
             value = _number(raw)
         except ValueError:
-            raise DataFormatError(f"row {row_no}: bad number {raw!r} for id {seq_id!r}") from None
+            raise DataFormatError(f"row {row_no}: bad number {reprlib.repr(raw)} "
+                                  f"for id {reprlib.repr(seq_id)}") from None
         if value < 0:
-            raise DataFormatError(f"row {row_no}: negative CCD value for id {seq_id!r}")
+            raise DataFormatError(
+                f"row {row_no}: negative CCD value for id {reprlib.repr(seq_id)}")
 
 
 def _number(text: str) -> float:

@@ -10,6 +10,7 @@ mean direction then removes the arbitrary starting point of the contour.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,18 +50,19 @@ class CcdSequence:
     def __post_init__(self):
         vals = _frozen_array(self.values)
         if vals.ndim != 1:
-            raise InvalidCcdError(f"sequence {self.id!r}: values must be one-dimensional")
+            raise InvalidCcdError(
+                f"sequence {reprlib.repr(self.id)}: values must be one-dimensional")
         if vals.size < 2:
-            raise InvalidCcdError(f"sequence {self.id!r}: fewer than 2 values")
+            raise InvalidCcdError(f"sequence {reprlib.repr(self.id)}: fewer than 2 values")
         if not np.all(np.isfinite(vals)):
-            raise InvalidCcdError(f"sequence {self.id!r}: non-finite value")
+            raise InvalidCcdError(f"sequence {reprlib.repr(self.id)}: non-finite value")
         if np.any(vals < 0):
             j = int(np.argmax(vals < 0))
             raise InvalidCcdError(
-                f"sequence {self.id!r}: negative CCD value {vals[j]} at position {j}"
+                f"sequence {reprlib.repr(self.id)}: negative CCD value {vals[j]} at position {j}"
             )
         if not np.any(vals > 0):
-            raise InvalidCcdError(f"sequence {self.id!r}: all values are zero")
+            raise InvalidCcdError(f"sequence {reprlib.repr(self.id)}: all values are zero")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

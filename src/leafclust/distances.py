@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .density import StepDensity, trig_moments
+from .density import StepDensity, _frozen_array, trig_moments
 
 
 class DistanceTag(str, Enum):
@@ -62,7 +62,7 @@ class DistanceMatrix:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        entries = np.asarray(self.entries, dtype=float)
+        entries = _frozen_array(self.entries)
         m = len(labels)
         if m < 2:
             raise ValueError("a distance matrix needs at least 2 items")
@@ -76,9 +76,6 @@ class DistanceMatrix:
             raise ValueError("entries must be exactly symmetric")
         if np.any(np.diag(entries) != 0.0):
             raise ValueError("diagonal must be exactly zero")
-        if entries.flags.writeable:
-            entries = entries.copy()
-        entries.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", entries)
 

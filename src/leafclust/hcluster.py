@@ -90,14 +90,6 @@ class Dendrogram:
     def n_leaves(self) -> int:
         return len(self.labels)
 
-    def leaf_sets(self) -> list[frozenset[int]]:
-        """Leaf index set of every node, indexed by node id."""
-        m = self.n_leaves
-        sets = [frozenset([i]) for i in range(m)]
-        for mg in self.merges:
-            sets.append(sets[mg.left] | sets[mg.right])
-        return sets
-
 
 def agglomerate(dm: DistanceMatrix, linkage: Linkage = Linkage.COMPLETE) -> Dendrogram:
     """Cluster a distance matrix bottom-up into a dendrogram.

@@ -498,7 +498,7 @@ def read_dataset_csv_rows(path, number=float) -> Dataset:
             seq_id, raw = row[0], row[1]
             if seq_id in finished:
                 raise DataFormatError(
-                    f"{path}: row {row_no}: rows for id {seq_id!r} are not contiguous"
+                    f"{path}: row {row_no}: rows for id {reprlib.repr(seq_id)} are not contiguous"
                 )
             if seq_id not in values:
                 if order:
@@ -509,11 +509,12 @@ def read_dataset_csv_rows(path, number=float) -> Dataset:
                 value = number(raw)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: row {row_no}: bad number {raw!r} for id {seq_id!r}"
+                    f"{path}: row {row_no}: bad number {reprlib.repr(raw)} "
+                    f"for id {reprlib.repr(seq_id)}"
                 ) from None
             if value < 0:
                 raise DataFormatError(
-                    f"{path}: row {row_no}: negative CCD value for id {seq_id!r}"
+                    f"{path}: row {row_no}: negative CCD value for id {reprlib.repr(seq_id)}"
                 )
             values[seq_id].append(value)
     try:

@@ -384,6 +384,9 @@ def _json_loads_error(text):
 
 
 _JSON_DATASET = json.dumps({f"s{i}": list(range(i, i + 300)) for i in range(40)})
+# An id and a number token of 50,000 characters: messages quote them shortened.
+_LONG_ID = "a" * 50_000
+_SHORT_ID = "'aaaaaaaaaaaa...aaaaaaaaaaaaa'"
 
 # input -> (subcommand and format, how to write it, stage, message after the path)
 _NAMED_INPUT_ERRORS = {
@@ -439,6 +442,17 @@ _NAMED_INPUT_ERRORS = {
         "densify --format json",
         lambda p: p.write_text('{"a": [1, 2, 3], "groups": {"a": "x\\udfff"}}'),
         "read-dataset", "'x\\udfff' is not valid Unicode"),
+    "long_bad_number.csv": (
+        "densify --format csv",
+        lambda p: p.write_text("id,value\na,1\na," + "9" * 50_000 + "x\na,3\n"),
+        "read-dataset", "row 3: bad number '999999999999...999999999999x' for id 'a'"),
+    "long_id_negative.json": (
+        "densify --format json", lambda p: p.write_text(json.dumps({_LONG_ID: [1, -2, 3]})),
+        "read-dataset", f"sequence {_SHORT_ID}: negative CCD value -2.0 at position 1"),
+    "long_id_negative.csv": (
+        "densify --format csv",
+        lambda p: p.write_text(f"id,value\n{_LONG_ID},1\n{_LONG_ID},-2\n"),
+        "read-dataset", f"row 3: negative CCD value for id {_SHORT_ID}"),
 }
 
 

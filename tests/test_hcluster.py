@@ -124,7 +124,7 @@ class TestAgglomerate:
         rng = np.random.default_rng(24)
         dm = random_matrix(rng, 8)
         dend = agglomerate(dm, Linkage.COMPLETE)
-        sets = dend.leaf_sets()
+        sets = node_leaf_sets(dend)
         for i, mg in enumerate(dend.merges):
             leaves = sorted(sets[8 + i])
             inner_max = max(dm.entries[a, b] for a in leaves for b in leaves if a < b)
@@ -182,6 +182,12 @@ def as_tuples(dend):
     return [(g.left, g.right, g.height, g.size) for g in dend.merges]
 
 
+def node_leaf_sets(dend):
+    """Leaf set of every node, indexed by node id: the leaves, then the merges."""
+    m = dend.n_leaves
+    return [frozenset([i]) for i in range(m)] + helpers.merge_leaf_sets(m, as_tuples(dend))
+
+
 class TestNearTies:
     def test_tied_average_heights_do_not_decrease(self):
         # Every entry but two is 0.7, so the last two merges tie at 0.7; the
@@ -200,7 +206,7 @@ class TestNearTies:
             dend = agglomerate(dm, link)
             heights = [mg.height for mg in dend.merges]
             assert heights == sorted(heights)
-            sets = dend.leaf_sets()
+            sets = node_leaf_sets(dend)
             active = list(range(m))
             for i, mg in enumerate(dend.merges):
                 values = block_linkages(dm.entries, [sorted(sets[c]) for c in active], link)
@@ -328,7 +334,7 @@ class TestLayout:
         tree = helpers.parse_newick(to_newick(dend))
         assert helpers.newick_leaves(tree) == [dend.labels[i] for i in leaf_order(dend)]
         heights, _ = helpers.newick_node_heights(tree)
-        sets = dend.leaf_sets()
+        sets = node_leaf_sets(dend)
         for i, mg in enumerate(dend.merges):
             leaves = frozenset(dend.labels[j] for j in sets[m + i])
             assert heights[leaves] == pytest.approx(mg.height, rel=1e-9, abs=1e-9)
@@ -361,7 +367,7 @@ class TestNewick:
             tree = helpers.parse_newick(to_newick(dend))
             heights, root_leaves = helpers.newick_node_heights(tree)
             assert root_leaves == frozenset(dm.labels)
-            sets = dend.leaf_sets()
+            sets = node_leaf_sets(dend)
             for i, mg in enumerate(dend.merges):
                 leaves = frozenset(dend.labels[j] for j in sets[m + i])
                 assert leaves in heights
