@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import reprlib
 import sys
+from collections import ChainMap
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -82,7 +84,7 @@ def _read_config(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
-            raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
+            raise ValueError(f"{path}:{line_no}: unknown option {reprlib.repr(key)}")
         if key == "config":
             raise ValueError(f"{path}:{line_no}: a config file cannot name another config file")
         try:
@@ -97,44 +99,38 @@ _BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False,
 
 def _config_value(key: str, text: str):
     """``text`` converted and checked by the ``type``/``choices`` of option ``key``."""
-    spec = _OPTIONS[key][1]
+    spec, shown = _OPTIONS[key][1], reprlib.repr(text)
     if spec.get("action") == "store_const":
         if text.lower() not in _BOOLEANS:
-            raise ValueError(f"{key}: expected true or false, got {text!r}")
+            raise ValueError(f"{key}: expected true or false, got {shown}")
         return _BOOLEANS[text.lower()]
     convert = spec.get("type", str)
     try:
         value = convert(text)
     except ValueError:
-        raise ValueError(f"{key}: invalid {convert.__name__} value {text!r}") from None
+        raise ValueError(f"{key}: invalid {convert.__name__} value {shown}") from None
     choices = spec.get("choices")
     if choices is not None and value not in choices:
-        raise ValueError(f"{key}: invalid choice {text!r} (choose from {', '.join(choices)})")
+        raise ValueError(f"{key}: invalid choice {shown} (choose from {', '.join(choices)})")
     return value
 
 
-class Options:
-    """Flag > config-file > default resolution for one subcommand run."""
+class Options(ChainMap):
+    """Flag > config-file > default resolution for one subcommand run: a ``ChainMap``
+    of the flags given, the config file's values and the defaults, in that order,
+    so ``opts.get(key)`` reads the first of ``opts.maps`` that holds ``key``."""
 
     def __init__(self, args: argparse.Namespace):
-        self._flags = {k: v for k, v in vars(args).items() if v is not None}
-        config_path = self._flags.get("config")
-        self._config = _read_config(config_path) if config_path else {}
-        r = self.get("r")
-        if r < 1:
-            raise ValueError(f"moment order r must be >= 1, got {r}")
-        k = self.get("cut")
-        if k is not None and k < 1:
-            raise ValueError(f"cut must be >= 1, got {k}")
-        if "input" in vars(args) and self.get("input") is None:
+        flags = {k: v for k, v in vars(args).items() if v is not None}
+        config_path = flags.get("config")
+        super().__init__(flags, _read_config(config_path) if config_path else {},
+                         {key: default for key, (default, _) in _OPTIONS.items()})
+        if self["r"] < 1:
+            raise ValueError(f"moment order r must be >= 1, got {self['r']}")
+        if self["cut"] is not None and self["cut"] < 1:
+            raise ValueError(f"cut must be >= 1, got {self['cut']}")
+        if "input" in vars(args) and self["input"] is None:
             raise ValueError("missing required option --input")
-
-    def get(self, key: str):
-        if key in self._flags:
-            return self._flags[key]
-        if key in self._config:
-            return self._config[key]
-        return _OPTIONS[key][0]
 
 
 def _load_dataset(opts: Options, min_leaves: int = 1) -> dataio.Dataset:

@@ -78,7 +78,8 @@ class Dataset:
         if self.groups is not None:
             unknown = set(self.groups) - set(ids)
             if unknown:
-                raise DataFormatError(f"groups refer to unknown ids: {sorted(unknown)}")
+                raise DataFormatError(
+                    f"groups refer to unknown ids: {reprlib.repr(sorted(unknown))}")
         object.__setattr__(self, "sequences", seqs)
 
     @property
@@ -201,9 +202,10 @@ def _raise_first_bad_record(fh) -> None:
 
 def _number(text: str) -> float:
     """``float(text)`` as numpy's parser reads it: no underscores, no non-ASCII digits."""
-    if "_" in text or not text.strip().isascii():
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
+    if "_" not in text and text.strip().isascii():
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise ValueError(f"could not convert string to float: {reprlib.repr(text)}")
 
 
 def _sequence(seq_id: str, values) -> CcdSequence:
@@ -255,7 +257,7 @@ def _unique_keys(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise DataFormatError(f"duplicate key {key!r}")
+            raise DataFormatError(f"duplicate key {reprlib.repr(key)}")
         _is_string(key)
         obj[key] = value
     return obj
@@ -265,7 +267,7 @@ def _is_string(value) -> bool:
     """Whether ``value`` is a str; JSON strings must be valid Unicode, so a lone
     surrogate in one (read from an escape like ``"\\ud800"``) is a format error."""
     if type(value) is str and not value.isascii() and _SURROGATE.search(value):
-        raise DataFormatError(f"{value!r} is not valid Unicode")
+        raise DataFormatError(f"{reprlib.repr(value)} is not valid Unicode")
     return type(value) is str
 
 
@@ -298,7 +300,7 @@ def _json_field(record, key: str, expect: str):
         elif expect not in (_LABELS, _GROUPS) or all(
                 map(_is_string, value.values() if expect == _GROUPS else value)):
             return value
-    raise TypeError(f"{key!r} must be {expect}, got {reprlib.repr(value)}")
+    raise TypeError(f"{reprlib.repr(key)} must be {expect}, got {reprlib.repr(value)}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import mmap
 import os
+import reprlib
 import signal
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +44,10 @@ class DistanceKind:
     moment_order: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "tag", DistanceTag(self.tag))
+        try:
+            object.__setattr__(self, "tag", DistanceTag(self.tag))
+        except ValueError:  # Enum's own message would hold the whole tag
+            raise ValueError(f"{reprlib.repr(self.tag)} is not a valid DistanceTag") from None
         if self.tag is DistanceTag.MOMENT_EUCLIDEAN and self.moment_order < 1:
             raise ValueError("moment order must be >= 1")
 

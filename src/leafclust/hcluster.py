@@ -22,6 +22,7 @@ first (smallest) leaf to its last.  ``leaf_order`` and ``cut`` walk them;
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,13 +71,14 @@ class Dendrogram:
         for i, mg in enumerate(merges):
             for child in (mg.left, mg.right):
                 if not 0 <= child < m + i:
-                    raise ValueError(f"merge {i}: child id {child} out of range")
+                    raise ValueError(f"merge {i}: child id {reprlib.repr(child)} out of range")
                 if child in seen_children:
                     raise ValueError(f"merge {i}: child id {child} reused")
                 seen_children.add(child)
             sizes.append(sizes[mg.left] + sizes[mg.right])
             if mg.size != sizes[-1]:
-                raise ValueError(f"merge {i}: size {mg.size}, but its children hold {sizes[-1]}")
+                raise ValueError(f"merge {i}: size {reprlib.repr(mg.size)}, "
+                                 f"but its children hold {sizes[-1]}")
             if not np.isfinite(mg.height):
                 raise ValueError(f"merge {i}: height must be finite")
             if mg.height < 0:

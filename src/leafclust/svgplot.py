@@ -10,6 +10,9 @@ write their coordinates with five fixed decimals, i.e. to 1e-5 px, far
 below what any display resolves.  Every other number is written as its
 shortest round-trip repr.
 
+Both charts take the top of their y axis from ``_axis_top``.  The density
+legend has one style per group, or per ungrouped id, in first-use order.
+
 Dendrograms are drawn inside a group whose transform maps data space to
 pixels; the path coordinates inside it are the raw data values, so the
 vertical coordinate of every horizontal merge bar equals that merge's
@@ -19,6 +22,7 @@ height exactly.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +47,6 @@ def _dash(dash: str) -> str:
 # but tab, LF and CR; U+FFFE, U+FFFF) replaced by U+FFFD, so any id keeps the SVG well-formed.
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
     [chr(c) for c in (*range(32), 0xFFFE, 0xFFFF) if c not in (9, 10, 13)], "\ufffd")})
-
-
-def _esc(text: str) -> str:
-    return str(text).translate(_ESCAPES)
 
 
 class SvgCanvas:
@@ -94,7 +94,8 @@ class SvgCanvas:
     def text(self, x, y, content, size=11, anchor="start", extra="") -> None:
         self.add(
             f'<text x="{_num(x)}" y="{_num(y)}" font-size="{_num(size)}" {_FONT}'
-            f' text-anchor="{anchor}" fill="#000000"{extra}>{_esc(content)}</text>'
+            f' text-anchor="{anchor}" fill="#000000"{extra}>'
+            f'{str(content).translate(_ESCAPES)}</text>'
         )
 
     def render(self) -> str:
@@ -126,6 +127,14 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return [k * step for k in range(first, last + 1)]
 
 
+def _axis_top(values) -> float:
+    """The top of a y axis: 5 % above the largest of ``values``, or 1.05 when
+    none is positive.  Clamped to [1e-300, largest float], so that for finite
+    values it, its ticks and the pixel scale of an axis under 1e8 px are finite."""
+    top = max(values)
+    return min(max(top * 1.05 if top > 0 else 1.05, 1e-300), sys.float_info.max)
+
+
 def style_for(index: int) -> tuple[str, str]:
     """Deterministic (stroke, dasharray) pair for style slot ``index``."""
     return PALETTE[index % len(PALETTE)], DASHES[(index // len(PALETTE)) % len(DASHES)]
@@ -149,10 +158,7 @@ def plot_densities(densities, path, groups: dict[str, str] | None = None,
     width, height = 640.0, 420.0
     ml, mr, mt, mb = 56.0, 16.0, 30.0, 42.0
     pw, ph = width - ml - mr, height - mt - mb
-    ymax = max(float(d.heights.max()) for d in densities)
-    if ymax <= 0:
-        ymax = 1.0
-    ymax *= 1.05
+    ymax = _axis_top(float(d.heights.max()) for d in densities)
 
     def px(t: float) -> float:
         return ml + (t / TWO_PI) * pw
@@ -174,20 +180,14 @@ def plot_densities(densities, path, groups: dict[str, str] | None = None,
     if title:
         canvas.text(ml + pw / 2, 18, title, anchor="middle", size=13)
 
-    key_of = (lambda d: groups.get(d.source_id, d.source_id)) if groups else (
-        lambda d: d.source_id)
-    style_keys: list[str] = []
-    for d in densities:
-        key = key_of(d)
-        if key not in style_keys:
-            style_keys.append(key)
-    for d in densities:
-        stroke, dash = style_for(style_keys.index(key_of(d)))
+    keys = [(groups or {}).get(d.source_id, d.source_id) for d in densities]
+    styles = {key: style_for(i) for i, key in enumerate(dict.fromkeys(keys))}
+    for d, key in zip(densities, keys):
+        stroke, dash = styles[key]
         canvas.steps(px(d.breakpoints), py(d.heights), stroke=stroke, width=1.2, dash=dash)
     # legend
     ly = mt + 6.0
-    for i, key in enumerate(style_keys):
-        stroke, dash = style_for(i)
+    for key, (stroke, dash) in styles.items():
         canvas.line(ml + pw - 110, ly + 4, ml + pw - 86, ly + 4,
                     stroke=stroke, width=1.6, dash=dash)
         canvas.text(ml + pw - 80, ly + 8, key, size=10)
@@ -212,11 +212,9 @@ def plot_leaves(outlines, path) -> None:
         ox = col * cell
         oy = row * (cell + title_h) + title_h
         pts = outline.points
-        cx = (float(pts[:, 0].min()) + float(pts[:, 0].max())) / 2
-        cy = (float(pts[:, 1].min()) + float(pts[:, 1].max())) / 2
-        span = max(float(pts[:, 0].max() - pts[:, 0].min()),
-                   float(pts[:, 1].max() - pts[:, 1].min()), 1e-12)
-        scale = (cell - 2 * pad) / span
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        cx, cy = (lo + hi) / 2
+        scale = (cell - 2 * pad) / max(*(hi - lo), 1e-12)
         # SVG y grows downward; flip the second coordinate.
         canvas.shape(ox + cell / 2 + (pts[:, 0] - cx) * scale,
                      oy + cell / 2 - (pts[:, 1] - cy) * scale,
@@ -237,10 +235,7 @@ def plot_dendrogram(dend: Dendrogram, path, title: str = "") -> None:
     height = 420.0
     ml, mr, mt, mb = 62.0, 20.0, 28.0, 86.0
     pw, ph = width - ml - mr, height - mt - mb
-    top = max(mg.height for mg in dend.merges)
-    if top <= 0:
-        top = 1.0
-    top *= 1.05
+    top = _axis_top(mg.height for mg in dend.merges)
     sx = pw / m
     sy = ph / top
 

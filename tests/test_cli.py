@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 import xml.etree.ElementTree as ET
 
@@ -388,6 +389,13 @@ _JSON_DATASET = json.dumps({f"s{i}": list(range(i, i + 300)) for i in range(40)}
 _LONG_ID = "a" * 50_000
 _SHORT_ID = "'aaaaaaaaaaaa...aaaaaaaaaaaaa'"
 
+
+def _matrix_json(tag):
+    """A 2x2 matrix JSON whose distance kind is ``tag``."""
+    return json.dumps({"labels": ["a", "b"], "kind": {"tag": tag, "moment_order": 5},
+                       "entries": [[0, 1], [1, 0]]})
+
+
 # input -> (subcommand and format, how to write it, stage, message after the path)
 _NAMED_INPUT_ERRORS = {
     "header_only.csv": ("densify --format csv", lambda p: p.write_text("id,value\n"),
@@ -453,6 +461,38 @@ _NAMED_INPUT_ERRORS = {
         "densify --format csv",
         lambda p: p.write_text(f"id,value\n{_LONG_ID},1\n{_LONG_ID},-2\n"),
         "read-dataset", f"row 3: negative CCD value for id {_SHORT_ID}"),
+    "long_unknown_group.json": (
+        "densify --format json",
+        lambda p: p.write_text(json.dumps({"b": [1, 2, 3], "groups": {_LONG_ID: "x"}})),
+        "read-dataset", f"groups refer to unknown ids: [{_SHORT_ID}]"),
+    # Seven unknown ids or more: the list is cut after six.
+    "many_unknown_groups.json": (
+        "densify --format json",
+        lambda p: p.write_text(json.dumps({"a": [1, 2, 3],
+                                           "groups": {f"u{i}": "x" for i in range(9)}})),
+        "read-dataset", "groups refer to unknown ids: ['u0', 'u1', 'u2', 'u3', 'u4', 'u5', ...]"),
+    "long_key_not_array.json": (
+        "densify --format json", lambda p: p.write_text(json.dumps({_LONG_ID: 5})),
+        "read-dataset", f"bad dataset schema: {_SHORT_ID} must be an array of numbers, got 5"),
+    "long_duplicate_key.json": (
+        "densify --format json",
+        lambda p: p.write_text(f'{{"{_LONG_ID}": [1, 2, 3], "{_LONG_ID}": [1, 2, 3]}}'),
+        "read-dataset", f"duplicate key {_SHORT_ID}"),
+    "long_surrogate_key.json": (
+        "densify --format json",
+        lambda p: p.write_text(f'{{"{_LONG_ID}\\ud800": [1, 2, 3]}}'),
+        "read-dataset", "'aaaaaaaaaaaa...aaaaaaa\\ud800' is not valid Unicode"),
+    "long_bad_cell.csv": (
+        "cluster --format csv",
+        lambda p: p.write_text(",a,b\na,0," + "9" * 50_000 + "x\nb,1,0\n"),
+        "read-matrix",
+        "row 2: could not convert string to float: '999999999999...999999999999x'"),
+    "long_kind_tag.json": (
+        "cluster --format json", lambda p: p.write_text(_matrix_json(_LONG_ID)),
+        "read-matrix", f"bad matrix schema: {_SHORT_ID} is not a valid DistanceTag"),
+    "list_kind_tag.json": (
+        "cluster --format json", lambda p: p.write_text(_matrix_json([0] * 20_000)),
+        "read-matrix", "bad matrix schema: [0, 0, 0, 0, 0, 0, ...] is not a valid DistanceTag"),
 }
 
 
@@ -469,6 +509,68 @@ def test_input_error_names_the_file_once(name, tmp_path, capsys):
     assert err == f"leafclust: error [{stage}] {path}: {message}\n"
     assert len(err.encode()) < 1024
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+# config line -> the message after "<file>:1: "
+_LONG_CONFIG_LINES = {
+    "key": (f"{_LONG_ID} = 1", f"unknown option {_SHORT_ID}"),
+    "choice": (f"linkage = {_LONG_ID}",
+               f"linkage: invalid choice {_SHORT_ID} (choose from complete, single, average)"),
+    "int": (f"r = {_LONG_ID}", f"r: invalid int value {_SHORT_ID}"),
+    "flag": (f"no_plots = {_LONG_ID}", f"no_plots: expected true or false, got {_SHORT_ID}"),
+}
+
+
+@pytest.mark.parametrize("name", _LONG_CONFIG_LINES)
+def test_long_config_input_gives_a_short_error(name, four_leaf_json, tmp_path, capsys):
+    line, message = _LONG_CONFIG_LINES[name]
+    config = tmp_path / "long.cfg"
+    config.write_text(line + "\n")
+    assert main(["pipeline", "--input", str(four_leaf_json), "--format", "json",
+                 "--config", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"leafclust: error [config] {config}:1: {message}\n"
+    assert len(err.encode()) < 1024
+
+
+_HUGE = int("7" * 4000)
+_SHORT_HUGE = "777777777777777777...7777777777777777777"
+
+
+@pytest.mark.parametrize("left,size,message", [
+    (_HUGE, 2, f"merge 0: child id {_SHORT_HUGE} out of range"),
+    (0, _HUGE, f"merge 0: size {_SHORT_HUGE}, but its children hold 2"),
+], ids=["child-id", "size"])
+def test_long_dendrogram_integer_gives_a_short_error(left, size, message, four_leaf_json,
+                                                     tmp_path, capsys):
+    dend = tmp_path / "dend.json"
+    dend.write_text(json.dumps({"labels": ["a", "b", "c"], "merges": [
+        {"left": left, "right": 1, "height": 1, "size": size},
+        {"left": 3, "right": 2, "height": 2, "size": 3}]}))
+    assert main(["plot", "--input", str(four_leaf_json), "--format", "json",
+                 "--dendrogram", str(dend), "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"leafclust: error [read-dendrogram] {dend}: bad dendrogram schema: {message}\n"
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("height", [5e-324, 1e-320, 1.72e308, 1.79e308])
+@pytest.mark.parametrize("linkage", ["complete", "single"])
+def test_dendrograms_at_extreme_heights_plot(height, linkage, four_leaf_json, tmp_path):
+    """A tree whose merges sit at the smallest or largest floats plots: every
+    number in the SVG is finite, and the bars still carry the heights verbatim."""
+    matrix, out = tmp_path / "m.csv", tmp_path / "out"
+    h = repr(height)
+    matrix.write_text(f",a,b,c\na,0,{h},{h}\nb,{h},0,{h}\nc,{h},{h},0\n")
+    assert run("cluster", "--input", matrix, "--linkage", linkage, "--outdir", out) == 0
+    assert run("plot", "--input", four_leaf_json, "--format", "json",
+               "--dendrogram", out / "dendrogram.json", "--outdir", out) == 0
+    text = (out / "dendrogram.svg").read_text()
+    assert not re.search(r"inf|nan", text, re.IGNORECASE)
+    numbers = re.findall(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", text)
+    assert all(math.isfinite(float(t)) for t in numbers)
+    group = ET.fromstring(text).find("{http://www.w3.org/2000/svg}g")
+    assert [float(bar.get("d").split()[5]) for bar in group] == [height, height]
 
 
 def test_control_character_ids_keep_every_svg_well_formed(tmp_path):
@@ -596,6 +698,38 @@ class TestConfigFile:
                    "--config", cfg) == 0
         assert (out / "densities.json").exists()
 
+    @pytest.mark.parametrize("key", sorted(set(cli._OPTIONS) - {"config"}))
+    def test_flag_beats_config_file_beats_default(self, key, tmp_path):
+        """Each option resolves through the maps flags, config file and defaults,
+        in that order; ``config`` itself is the flag naming the file."""
+        assert set(_LAYER_VALUES) == set(cli._OPTIONS) - {"config"}
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        flag = f"--{key.replace('_', '-')}"
+        command = next(name for name, sub in subparsers.items()
+                       if flag in sub._option_string_actions)
+        needs_input = key != "input" and "--input" in subparsers[command]._option_string_actions
+        base = [command, *(["--input", "x.json"] if needs_input else [])]
+        flag_text, file_text = _LAYER_VALUES[key]
+        flag_value = True if flag_text is None else cli._config_value(key, flag_text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {file_text}\n")
+        file_value, default = cli._config_value(key, file_text), cli._OPTIONS[key][0]
+        assert len({repr(flag_value), repr(file_value), repr(default)}) == 3
+        flag_args = [flag] if flag_text is None else [flag, flag_text]
+        for argv, want, layer in ((base + flag_args + ["--config", str(cfg)], flag_value, 0),
+                                  (base + ["--config", str(cfg)], file_value, 1),
+                                  (base, default, 2)):
+            if want is None and key == "input":
+                with pytest.raises(ValueError, match="missing required option --input"):
+                    cli.Options(parser.parse_args(argv))
+                continue
+            opts = cli.Options(parser.parse_args(argv))
+            assert opts.get(key) == want and type(opts.get(key)) is type(want)
+            assert [key in m for m in opts.maps].index(True) == layer
+            assert opts.get("config") == (str(cfg) if layer < 2 else None)
+
     @settings(max_examples=300, derandomize=True, database=None)
     @given(key=st.sampled_from(sorted(k for k, (_, spec) in cli._OPTIONS.items()
                                       if "type" in spec or "choices" in spec)),
@@ -613,6 +747,18 @@ class TestConfigFile:
         except ValueError:
             value = None
         assert repr(value) == repr(flag)
+
+
+# option -> (flag value, config-file value), each different from the default;
+# None stands for a flag that takes no value.
+_LAYER_VALUES = {
+    "input": ("flag.json", "file.json"), "format": ("json", "densities"),
+    "distance": ("sup", "moments"), "r": ("3", "4"), "linkage": ("single", "average"),
+    "cut": ("2", "3"), "outdir": ("flag_out", "file_out"),
+    "dendrogram": ("flag.json", "file.json"), "no_plots": (None, "false"),
+    "seed": ("1", "2"), "groups": ("2", "3"), "per_group": ("6", "7"), "n_min": ("10", "20"),
+    "n_max": ("30", "40"), "noise": ("0.5", "0.25"), "output": ("flag.json", "file.json"),
+}
 
 
 class TestSyntheticRecovery:

@@ -21,6 +21,7 @@ from leafclust import (
     plot_leaves,
 )
 from leafclust.distances import DistanceMatrix
+from leafclust.svgplot import style_for
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -72,6 +73,27 @@ class TestPlotDensities:
         strokes = [ln.get("stroke") for ln in lines[:4]]
         assert strokes[0] == strokes[1] and strokes[2] == strokes[3]
         assert strokes[0] != strokes[2]
+
+    @pytest.mark.parametrize("groups,legend,slots", [
+        # A group takes a style where it is first used; an id without a group
+        # is an entry of its own.
+        ({"s1": "B", "s3": "A", "s4": "B"}, ["s0", "B", "s2", "A"], [0, 1, 2, 3, 1]),
+        # Without groups each id is an entry; past the palette the dashes change.
+        (None, [f"s{i}" for i in range(9)], list(range(9))),
+    ], ids=["partial-groups", "no-groups"])
+    def test_legend_and_strokes_in_first_use_order(self, groups, legend, slots, tmp_path):
+        densities = [density_from_ccd(CcdSequence(f"s{i}", np.array([1.0, 2.0, i + 1.0])))
+                     for i in range(len(slots))]
+        path = tmp_path / "d.svg"
+        plot_densities(densities, path, groups=groups)
+        elements = list(svg_root(path))
+        paths = [e for e in elements if e.tag == f"{SVG}path"]
+        assert [(e.get("stroke"), e.get("stroke-dasharray", "none")) for e in paths] == \
+            [style_for(i) for i in slots]
+        keys = elements[elements.index(paths[-1]) + 1:]  # a line and a text per entry
+        assert [e.text for e in keys[1::2]] == legend
+        assert [(e.get("stroke"), e.get("stroke-dasharray", "none")) for e in keys[::2]] == \
+            [style_for(i) for i in range(len(legend))]
 
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
