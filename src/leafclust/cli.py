@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import reprlib
 import sys
 from collections import ChainMap
@@ -321,9 +322,29 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
         sub.add_argument(f"--{name.replace('_', '-')}", **_OPTIONS[name][1])
 
 
+def _cut(text: str) -> str:
+    """``text`` whole up to 30 characters, else cut as ``reprlib.repr`` cuts."""
+    return text if len(text) <= 30 else f"{text[:13]}...{text[-14:]}"
+
+
+# What an argparse message echoes of the command line: a value's quoted repr,
+# or the option of an "ambiguous option" message.
+_ECHOED = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"'
+                     r"|(?<=^ambiguous option: ).*(?= could match -)", re.S)
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a bad or unknown flag fails as a bad config value does
-        raise ValueError(message)
+    """A bad or unknown flag fails as a bad config value does, with a
+    ``ValueError`` that echoes each piece of the command line cut short."""
+
+    def error(self, message):
+        raise ValueError(_ECHOED.sub(lambda echo: _cut(echo[0]), message))
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse's own message holds every one of them whole
+            raise ValueError(f"unrecognized arguments: {' '.join(map(_cut, extras))}")
+        return namespace
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -203,8 +203,10 @@ def _raise_first_bad_record(fh) -> None:
 def _number(text: str) -> float:
     """``float(text)`` as numpy's parser reads it: no underscores, no non-ASCII digits."""
     if "_" not in text and text.strip().isascii():
-        with contextlib.suppress(ValueError):
+        try:
             return float(text)
+        except ValueError:  # not contextlib.suppress: that builds a context manager per cell
+            pass
     raise ValueError(f"could not convert string to float: {reprlib.repr(text)}")
 
 

@@ -4,14 +4,17 @@ All integral distances are evaluated exactly: two step densities are
 refined onto the union of their breakpoints, where both are constant on
 every interval, so each integral reduces to a finite sum over that one
 refinement.  The moment distance compares closed-form trigonometric moment
-vectors, computed once per density.  A grid-based approximation exists
+vectors, computed once per density.  One kernel per kind (``_kernel``)
+gives the items a pair compares and the distance between two of them, for
+a single pair and for a matrix alike.  A grid-based approximation exists
 only as a cross-check in the test suite.
 
-A large matrix is split across the usable CPUs: its pairs are cut into
-contiguous shares, forked child processes compute all shares but the first,
-and each writes its values into its own slice of one buffer that it shares
-with the parent.  Every pair runs through the same code either way, so the
-matrix is byte-identical whatever the CPU count.
+A matrix's pairs are cut into contiguous shares, as many as the usable
+CPUs and the work allow, and one fill path writes each share's values into
+its own slice of one buffer: this process fills the first share, and a
+forked child each other, sharing the buffer with the parent.  Every pair
+runs through the same code either way, so the matrix is byte-identical
+whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -122,21 +125,6 @@ _REDUCERS = {
 }
 
 
-def _refined(reduce):
-    """Pair distance: merge the two breakpoint sets once, then reduce."""
-    return lambda f, g: float(reduce(*merge_breakpoints(f, g)))
-
-
-# Each tag maps to (per-density preparation, distance between two prepared
-# densities): the integral distances work on the densities themselves, the
-# moment distance on each density's moment vector.
-_KERNELS = {tag: (lambda d, r: d, _refined(reduce)) for tag, reduce in _REDUCERS.items()}
-_KERNELS[DistanceTag.MOMENT_EUCLIDEAN] = (
-    lambda d, r: trig_moments(d, r).as_vector(),
-    lambda mf, mg: float(np.linalg.norm(mf - mg)),
-)
-
-
 def dist_l1(f: StepDensity, g: StepDensity) -> float:
     """D1: integral of |f - g| over the circle.
 
@@ -167,10 +155,23 @@ def dist_moment_euclidean(f: StepDensity, g: StepDensity, r: int = 5) -> float:
     return pair_distance(f, g, DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, r))
 
 
+def _kernel(densities, kind: DistanceKind):
+    """``(items, size, pair)`` of one kind: the items a pair compares (the
+    densities, or for ``moments`` their moment vectors), their total size
+    (intervals or vector entries) and the distance between two items."""
+    if kind.tag is DistanceTag.MOMENT_EUCLIDEAN:
+        items = [trig_moments(d, kind.moment_order).as_vector() for d in densities]
+        return items, sum(v.size for v in items), lambda u, v: float(np.linalg.norm(u - v))
+    reduce = _REDUCERS[kind.tag]
+    items = list(densities)
+    return (items, sum(d.n_intervals for d in items),
+            lambda f, g: float(reduce(*merge_breakpoints(f, g))))
+
+
 def pair_distance(f: StepDensity, g: StepDensity, kind: DistanceKind) -> float:
     """Distance between two densities under the selected kind."""
-    prepare, pair = _KERNELS[kind.tag]
-    return pair(prepare(f, kind.moment_order), prepare(g, kind.moment_order))
+    (u, v), _, pair = _kernel((f, g), kind)
+    return pair(u, v)
 
 
 def distance_matrix(densities, labels, kind: DistanceKind) -> DistanceMatrix:
@@ -182,12 +183,11 @@ def distance_matrix(densities, labels, kind: DistanceKind) -> DistanceMatrix:
     across the usable CPUs (see the module docstring).  ``DistanceMatrix``
     checks the labels.
     """
-    prepare, pair = _KERNELS[kind.tag]
-    items = [prepare(d, kind.moment_order) for d in densities]
+    items, size, pair = _kernel(densities, kind)
     m = len(items)
     iu, ku = np.triu_indices(m, 1)
     # Merged points over all pairs: each item takes part in m - 1 merges.
-    work = (m - 1) * sum(_size(item) for item in items)
+    work = (m - 1) * size
     shares = max(1, min(_usable_cpus(), iu.size, work // _MIN_WORK_PER_SHARE))
     entries = np.zeros((m, m))
     entries[iu, ku] = entries[ku, iu] = _pair_values(pair, items, iu, ku, shares)
@@ -207,22 +207,11 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _size(item) -> int:
-    """Intervals of a density, entries of a moment vector."""
-    return item.n_intervals if isinstance(item, StepDensity) else item.size
-
-
-def _share(pair, items, iu, ku) -> np.ndarray:
-    """The distances of the pairs ``(iu[j], ku[j])``, in order."""
-    return np.array([pair(items[i], items[k]) for i, k in zip(iu.tolist(), ku.tolist())],
-                    dtype=float)
-
-
 def _pair_values(pair, items, iu, ku, shares: int) -> np.ndarray:
-    """:func:`_share` of all pairs, cut into ``shares`` contiguous shares of
-    equal count: this process computes the first, a forked child each other,
-    and each writes its values into its own slice of one buffer that the
-    children share with this process.
+    """The distances of the pairs ``(iu[j], ku[j])``, in order, cut into
+    ``shares`` contiguous shares of equal count: ``fill`` writes a share into
+    its own slice of one shared buffer, in this process for the first share
+    and in a forked child for each other, so one share forks nothing.
 
     A child ends only through ``os._exit`` (0 once its slice is written, 1
     otherwise), so it never flushes stdio, runs exit handlers or returns into
@@ -230,9 +219,13 @@ def _pair_values(pair, items, iu, ku, shares: int) -> np.ndarray:
     Every child is reaped before this returns or raises; if this process's
     own share raises (a KeyboardInterrupt too), the children are killed.
     """
-    if shares == 1:
-        return _share(pair, items, iu, ku)
-    values = np.frombuffer(mmap.mmap(-1, 8 * iu.size))  # anonymous: shared across fork
+    # Anonymous, so shared across fork; mmap cannot map 0 bytes (no pairs).
+    values = np.frombuffer(mmap.mmap(-1, 8 * max(1, iu.size)))[:iu.size]
+
+    def fill(lo, hi):
+        values[lo:hi] = [pair(items[i], items[k])
+                         for i, k in zip(iu[lo:hi].tolist(), ku[lo:hi].tolist())]
+
     cuts = [iu.size * s // shares for s in range(shares + 1)]
     children = []  # pids not yet reaped
     try:
@@ -241,12 +234,12 @@ def _pair_values(pair, items, iu, ku, shares: int) -> np.ndarray:
             if pid == 0:
                 code = 1
                 try:
-                    values[lo:hi] = _share(pair, items, iu[lo:hi], ku[lo:hi])
+                    fill(lo, hi)
                     code = 0
                 finally:
                     os._exit(code)
             children.append(pid)
-        values[:cuts[1]] = _share(pair, items, iu[:cuts[1]], ku[:cuts[1]])
+        fill(0, cuts[1])
         while children:
             pid, status = os.waitpid(children[0], 0)
             children.pop(0)

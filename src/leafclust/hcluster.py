@@ -22,6 +22,7 @@ first (smallest) leaf to its last.  ``leaf_order`` and ``cut`` walk them;
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass
 from enum import Enum
@@ -107,7 +108,12 @@ def agglomerate(dm: DistanceMatrix, linkage: Linkage = Linkage.COMPLETE) -> Dend
     # diagonal).  Average linkage also keeps the block sums.
     heights = np.array(dm.entries, dtype=float)
     np.fill_diagonal(heights, np.inf)
-    sums = np.array(dm.entries, dtype=float) if linkage is Linkage.AVERAGE else None
+    sums = None
+    if linkage is Linkage.AVERAGE:
+        # A block sum adds up to m*m entries.  Where that could overflow, the
+        # sums are kept at a power-of-two scale 2**-shift, which is exact.
+        shift = max(0, math.frexp(dm.entries.max())[1] + (m * m).bit_length() - 1023)
+        sums = dm.entries * 2.0 ** -shift
     ids = np.arange(m)
     sizes = np.ones(m)
     merges: list[Merge] = []
@@ -130,7 +136,7 @@ def agglomerate(dm: DistanceMatrix, linkage: Linkage = Linkage.COMPLETE) -> Dend
         else:
             sums[keep, :k] += sums[drop, :k]
             sums[:k, keep] = sums[keep, :k]
-            row = sums[keep, :k] / (size * sizes[:k])
+            row = sums[keep, :k] / (size * sizes[:k]) * 2.0 ** shift
         row[keep] = np.inf
         heights[keep, :k] = row
         heights[:k, keep] = row

@@ -533,6 +533,34 @@ def test_long_config_input_gives_a_short_error(name, four_leaf_json, tmp_path, c
     assert len(err.encode()) < 1024
 
 
+# argv -> the start of the message (argparse words the rest differently by version)
+_LONG_ARGUMENTS = {
+    "choice": (["pipeline", "--input", "x.json", "--linkage", "a" * 50_000],
+               "argument --linkage: invalid choice: "),
+    "int": (["pipeline", "--input", "x.json", "--r", "9" * 5_000],
+            "argument --r: invalid int value: "),
+    "unknown flag": (["pipeline", "--input", "x.json", "--bogus", "b" * 5_000],
+                     "unrecognized arguments: --bogus "),
+    "subcommand": (["c" * 5_000], "argument command: invalid choice: "),
+    "ambiguous flag": (["synth", "--n=" + "n" * 5_000], "ambiguous option: --n="),
+}
+
+
+@pytest.mark.parametrize("name", _LONG_ARGUMENTS)
+def test_long_argument_gives_a_short_error(name, tmp_path, capsys, monkeypatch):
+    """A long flag value, unknown argument or subcommand name is echoed cut
+    short, as reprlib cuts; the flag name and the choices stay."""
+    argv, start = _LONG_ARGUMENTS[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"leafclust: error [config] {start}")
+    assert len(err.encode()) < 1024
+    assert list(tmp_path.iterdir()) == []
+    if name == "choice":
+        assert "average" in err
+
+
 _HUGE = int("7" * 4000)
 _SHORT_HUGE = "777777777777777777...7777777777777777777"
 
@@ -554,8 +582,9 @@ def test_long_dendrogram_integer_gives_a_short_error(left, size, message, four_l
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("height", [5e-324, 1e-320, 1.72e308, 1.79e308])
-@pytest.mark.parametrize("linkage", ["complete", "single"])
+@pytest.mark.parametrize("linkage", ["complete", "single", "average"])
 def test_dendrograms_at_extreme_heights_plot(height, linkage, four_leaf_json, tmp_path):
     """A tree whose merges sit at the smallest or largest floats plots: every
     number in the SVG is finite, and the bars still carry the heights verbatim."""

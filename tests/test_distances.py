@@ -343,12 +343,33 @@ class TestSplitPairs:
         assert split.tobytes() == whole.tobytes()
         self._assert_no_child_left()
 
+    @pytest.mark.parametrize("why", ["little work", "one cpu"])
+    @pytest.mark.parametrize("tag", list(DistanceTag), ids=lambda t: t.value)
+    def test_one_share_forks_nothing(self, monkeypatch, tag, why):
+        """A matrix below the work per share, or on one CPU, is filled in this
+        process alone, through the same path and to the same bytes as a split."""
+        dataset = synth_dataset(1, 7, (50, 400), 0.02, 7)
+        densities = [normalize_leaf(seq) for seq in dataset.sequences]
+        labels = [d.source_id for d in densities]
+        forks = self._split(monkeypatch)
+        split = distance_matrix(densities, labels, DistanceKind(tag)).entries
+        assert len(forks) == 2
+        forks.clear()
+        if why == "little work":
+            monkeypatch.setattr(distances, "_MIN_WORK_PER_SHARE", 10 ** 9)
+        else:
+            monkeypatch.setattr(distances, "_usable_cpus", lambda: 1)
+        whole = distance_matrix(densities, labels, DistanceKind(tag)).entries
+        assert forks == []
+        assert whole.tobytes() == split.tobytes()
+        self._assert_no_child_left()
+
     @pytest.mark.parametrize("where", ["child", "parent", "killed", "interrupt"])
     def test_failed_share_raises_and_leaves_no_child(self, monkeypatch, where):
         """A child that fails, or that a signal kills, fails the matrix; a
         failure of this process's own share propagates, an interrupt too.
         Either way every child is killed and reaped."""
-        prepare, pair = distances._KERNELS[DistanceTag.L1]
+        merge = distances.merge_breakpoints
         parent = os.getpid()
 
         def failing(f, g):
@@ -364,9 +385,9 @@ class TestSplitPairs:
                 raise ValueError("pair failed in the parent")
             elif where == "interrupt":
                 raise KeyboardInterrupt
-            return pair(f, g)
+            return merge(f, g)
 
-        monkeypatch.setitem(distances._KERNELS, DistanceTag.L1, (prepare, failing))
+        monkeypatch.setattr(distances, "merge_breakpoints", failing)
         forks = self._split(monkeypatch)
         densities = [normalize_leaf(seq)
                      for seq in synth_dataset(1, 7, (50, 400), 0.02, 7).sequences]

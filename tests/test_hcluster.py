@@ -219,6 +219,28 @@ class TestNearTies:
                 active.append(m + i)
 
 
+class TestAverageAtExtremeMagnitudes:
+    """Average linkage sums its blocks at a power-of-two scale where they
+    could overflow: the heights stay exact block means, with no warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1.72e308, 1.79e308, np.finfo(float).max])
+    def test_equal_entries_give_their_value(self, value):
+        dend = agglomerate(matrix_from(squareform([value] * 3)), Linkage.AVERAGE)
+        assert [mg.height for mg in dend.merges] == [value, value]
+
+    @pytest.mark.filterwarnings("error")
+    def test_scaled_matrix_gives_the_scaled_tree(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            m = int(rng.integers(2, 14))
+            tri = rng.uniform(0.1, 10.0, size=m * (m - 1) // 2)
+            small = agglomerate(matrix_from(squareform(tri)), Linkage.AVERAGE)
+            large = agglomerate(matrix_from(squareform(tri * 2.0 ** 1019)), Linkage.AVERAGE)
+            assert [(mg.left, mg.right, mg.height * 2.0 ** 1019, mg.size)
+                    for mg in small.merges] == as_tuples(large)
+
+
 class TestAgglomerateAtScale:
     @pytest.mark.parametrize("link", list(Linkage))
     @pytest.mark.parametrize("source", ["random", "synth"])
