@@ -126,8 +126,7 @@ class Options(ChainMap):
         config_path = flags.get("config")
         super().__init__(flags, _read_config(config_path) if config_path else {},
                          {key: default for key, (default, _) in _OPTIONS.items()})
-        if self["r"] < 1:
-            raise ValueError(f"moment order r must be >= 1, got {self['r']}")
+        DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, self["r"])  # checks r
         if self["cut"] is not None and self["cut"] < 1:
             raise ValueError(f"cut must be >= 1, got {self['cut']}")
         if "input" in vars(args) and self["input"] is None:

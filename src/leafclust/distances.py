@@ -7,28 +7,19 @@ refinement.  The moment distance compares closed-form trigonometric moment
 vectors, computed once per density.  One kernel per kind (``_kernel``)
 gives the items a pair compares and the distance between two of them, for
 a single pair and for a matrix alike.  A grid-based approximation exists
-only as a cross-check in the test suite.
-
-A matrix's pairs are cut into contiguous shares, as many as the usable
-CPUs and the work allow, and one fill path writes each share's values into
-its own slice of one buffer: this process fills the first share, and a
-forked child each other, sharing the buffer with the parent.  Every pair
-runs through the same code either way, so the matrix is byte-identical
-whatever the CPU count.
+only as a cross-check in the test suite.  ``_shares.in_shares`` splits a
+matrix's pairs across processes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import mmap
-import os
 import reprlib
-import signal
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._shares import in_shares
 from .density import StepDensity, _frozen_array, trig_moments
 
 
@@ -37,6 +28,11 @@ class DistanceTag(str, Enum):
     SUP = "sup"
     HELLINGER_SQ = "hellinger"
     MOMENT_EUCLIDEAN = "moments"
+
+
+# trig_moments holds about five (r, n + 1) float arrays: at r = 1,000 and
+# n = 16,000 that is about 0.64 GB per density.
+_MAX_MOMENT_ORDER = 1000
 
 
 @dataclass(frozen=True)
@@ -51,8 +47,10 @@ class DistanceKind:
             object.__setattr__(self, "tag", DistanceTag(self.tag))
         except ValueError:  # Enum's own message would hold the whole tag
             raise ValueError(f"{reprlib.repr(self.tag)} is not a valid DistanceTag") from None
-        if self.tag is DistanceTag.MOMENT_EUCLIDEAN and self.moment_order < 1:
-            raise ValueError("moment order must be >= 1")
+        r = self.moment_order
+        if self.tag is DistanceTag.MOMENT_EUCLIDEAN and not 1 <= r <= _MAX_MOMENT_ORDER:
+            raise ValueError(f"moment order must be >= 1 and <= {_MAX_MOMENT_ORDER:,}, "
+                             f"got {reprlib.repr(r)}")
 
     @property
     def name(self) -> str:
@@ -180,74 +178,17 @@ def distance_matrix(densities, labels, kind: DistanceKind) -> DistanceMatrix:
     Per-density work (the moment vectors) is done once per density.  Each
     unordered pair is then computed once and mirrored, which makes the
     matrix exactly symmetric.  Where the pairs are worth it they are split
-    across the usable CPUs (see the module docstring).  ``DistanceMatrix``
+    across the usable CPUs by ``_shares.in_shares``.  ``DistanceMatrix``
     checks the labels.
     """
     items, size, pair = _kernel(densities, kind)
     m = len(items)
     iu, ku = np.triu_indices(m, 1)
-    # Merged points over all pairs: each item takes part in m - 1 merges.
-    work = (m - 1) * size
-    shares = max(1, min(_usable_cpus(), iu.size, work // _MIN_WORK_PER_SHARE))
+
+    def values_of(lo, hi):
+        return [pair(items[i], items[k]) for i, k in zip(iu[lo:hi].tolist(), ku[lo:hi].tolist())]
+
     entries = np.zeros((m, m))
-    entries[iu, ku] = entries[ku, iu] = _pair_values(pair, items, iu, ku, shares)
+    # Merged points over all pairs: each item takes part in m - 1 merges.
+    entries[iu, ku] = entries[ku, iu] = in_shares(iu.size, (m - 1) * size, values_of)
     return DistanceMatrix(tuple(labels), entries, kind)
-
-
-# Work (merged points) below which a share is not worth its own process.  On
-# a 2 vCPU Xeon a merge costs 26-55 ns per point and a fork and join 3-4 ms at
-# 40-50 MiB RSS, so a share of this size spends about 5 % of its time on it.
-_MIN_WORK_PER_SHARE = 2_000_000
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _pair_values(pair, items, iu, ku, shares: int) -> np.ndarray:
-    """The distances of the pairs ``(iu[j], ku[j])``, in order, cut into
-    ``shares`` contiguous shares of equal count: ``fill`` writes a share into
-    its own slice of one shared buffer, in this process for the first share
-    and in a forked child for each other, so one share forks nothing.
-
-    A child ends only through ``os._exit`` (0 once its slice is written, 1
-    otherwise), so it never flushes stdio, runs exit handlers or returns into
-    the caller; any other wait status, a signal's too, fails the matrix.
-    Every child is reaped before this returns or raises; if this process's
-    own share raises (a KeyboardInterrupt too), the children are killed.
-    """
-    # Anonymous, so shared across fork; mmap cannot map 0 bytes (no pairs).
-    values = np.frombuffer(mmap.mmap(-1, 8 * max(1, iu.size)))[:iu.size]
-
-    def fill(lo, hi):
-        values[lo:hi] = [pair(items[i], items[k])
-                         for i, k in zip(iu[lo:hi].tolist(), ku[lo:hi].tolist())]
-
-    cuts = [iu.size * s // shares for s in range(shares + 1)]
-    children = []  # pids not yet reaped
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    fill(lo, hi)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append(pid)
-        fill(0, cuts[1])
-        while children:
-            pid, status = os.waitpid(children[0], 0)
-            children.pop(0)
-            if status != 0:
-                raise ChildProcessError(f"share failed in process {pid}: wait status {status}")
-    finally:
-        for pid in children:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return values

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: moments
 and integral distances are re-derived by midpoint quadrature on a fine
-grid and, exactly, by a per-pair copy of the earlier distance code,
-clustering by a plain-Python agglomerative loop over member lists and by
+grid and, exactly, by a per-pair copy of the earlier distance code, and
+the four distances are held to the inequalities that tie them; clustering by a plain-Python agglomerative loop over member lists and by
 the earlier blockwise library clustering,
 flat cuts by the earlier union-find cut, SVG point strings by the earlier
 per-point plot code (density step paths expanded back to its corners by a
@@ -80,31 +80,35 @@ _TRIG_TABLES: dict = {}
 
 
 def _trig_tables(p_max: int, panels: int):
-    """cos(p*mid) and sin(p*mid) rows for p = 1..p_max, built once."""
+    """The midpoints and the prefix sums of cos(p*mid) and sin(p*mid) over the
+    panels, rows p = 1..p_max of ``panels + 1`` sums each starting at 0, built once."""
     key = (p_max, panels)
     if key not in _TRIG_TABLES:
-        mids = quadrature_midpoints(panels)
-        cos_rows = [np.cos(mids)]
-        sin_rows = [np.sin(mids)]
-        for _ in range(p_max - 1):
-            cp = cos_rows[-1] * cos_rows[0] - sin_rows[-1] * sin_rows[0]
-            sp = sin_rows[-1] * cos_rows[0] + cos_rows[-1] * sin_rows[0]
-            cos_rows.append(cp)
-            sin_rows.append(sp)
         _TRIG_TABLES.clear()  # keep at most one table set in memory
-        _TRIG_TABLES[key] = (cos_rows, sin_rows)
+        mids = quadrature_midpoints(panels)
+        cos_sums, sin_sums = np.zeros((2, p_max, panels + 1))
+        c1, s1 = cp, sp = np.cos(mids), np.sin(mids)
+        for p in range(p_max):
+            if p:
+                cp, sp = cp * c1 - sp * s1, sp * c1 + cp * s1
+            np.cumsum(cp, out=cos_sums[p, 1:])
+            np.cumsum(sp, out=sin_sums[p, 1:])
+        _TRIG_TABLES[key] = (mids, cos_sums, sin_sums)
     return _TRIG_TABLES[key]
 
 
 def moment_quadrature(d: StepDensity, p_max: int, panels=PANELS) -> np.ndarray:
-    """Midpoint-rule trigonometric moments, orders 1..p_max; shape (p_max, 2)."""
-    cos_rows, sin_rows = _trig_tables(p_max, panels)
-    f = d.evaluate(quadrature_midpoints(panels))
+    """Midpoint-rule trigonometric moments, orders 1..p_max; shape (p_max, 2).
+
+    A panel takes the height ``d.evaluate`` gives its midpoint: that of the
+    interval (t_k, t_{k+1}] holding it.  So each constant piece covers a run of
+    panels, and its sum is a difference of two prefix sums of the trig tables.
+    """
+    mids, cos_sums, sin_sums = _trig_tables(p_max, panels)
+    cuts = np.searchsorted(mids, d.breakpoints, side="right")
     dt = TWO_PI / panels
-    out = np.empty((p_max, 2))
-    for p in range(1, p_max + 1):
-        out[p - 1] = (np.dot(f, cos_rows[p - 1]) * dt, np.dot(f, sin_rows[p - 1]) * dt)
-    return out
+    return np.column_stack([(sums[:, cuts[1:]] - sums[:, cuts[:-1]]) @ d.heights * dt
+                            for sums in (cos_sums, sin_sums)])
 
 
 def grid_l1(f: StepDensity, g: StepDensity, panels=PANELS) -> float:
@@ -186,6 +190,37 @@ def pairwise_matrix(densities, tag: str, r: int) -> np.ndarray:
         for k in range(i + 1, m):
             out[i, k] = out[k, i] = dist(densities[i], densities[k])
     return out
+
+
+# ---------------------------------------------------------------------------
+# inequalities between the four distances
+
+# Absolute slack of every inequality: the distances here are at most about 2,
+# and the moments carry rounding where the merge gives L1 an exact 0.
+INEQUALITY_SLACK = 64 * np.finfo(float).eps
+
+
+def distance_inequality_violations(l1, sup, hellinger, moments, r: int,
+                                   slack=INEQUALITY_SLACK) -> dict:
+    """Where the four distances of the same pairs break an inequality that
+    holds for any two unit-mass densities (Gibbs & Su, Int. Stat. Review 70,
+    2002), by more than ``slack``: name -> boolean mask over the entries.
+
+    With H^2 the squared Hellinger distance without the 1/2 factor, 1 - H^2/2
+    is the Bhattacharyya coefficient; and each moment pair of f - g is at most
+    L1 in modulus, so the moments distance of order r is at most sqrt(r) L1.
+    Works on four matrices or four numbers alike.
+    """
+    l1, sup, h2, d4 = (np.asarray(a, dtype=float) for a in (l1, sup, hellinger, moments))
+    bounds = {
+        "H2 <= L1": (h2, l1),
+        "L1 <= 2 sqrt(H2)": (l1, 2 * np.sqrt(h2)),
+        "L1 <= 2 sqrt(1 - (1 - H2/2)^2)": (l1, np.sqrt(h2 * (4 - h2))),
+        "L1 <= 2 pi sup": (l1, TWO_PI * sup),
+        "L1 <= 2": (l1, 2.0),
+        "D4 <= sqrt(r) L1": (d4, math.sqrt(r) * l1),
+    }
+    return {name: lhs > rhs + slack for name, (lhs, rhs) in bounds.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from leafclust import (
-    CcdSequence, Dataset, InvalidCcdError, normalize_leaf, read_dataset, write_dataset,
-    write_densities,
+    CcdSequence, Dataset, InvalidCcdError, normalize_leaf, read_dataset, read_matrix,
+    write_dataset, write_densities,
 )
 from leafclust import cli
 from leafclust.cli import main
@@ -243,6 +243,8 @@ EXIT_CODES = [
           name="read-matrix-csv-field-limit"),
     _case("read-matrix", 1, "cluster --input {d}/underscore_cell.csv --outdir {d}/out",
           name="read-matrix-underscore-cell"),
+    _case("read-matrix", 1, "cluster --input {d}/order.json --format json --outdir {d}/out",
+          name="read-matrix-moment-order-beyond-bound"),
     _case("read-dataset", 1, "densify --input {d}/int_group.json --format json --outdir {d}/out",
           name="read-dataset-group-not-string"),
     _case("read-dendrogram", 1,
@@ -333,8 +335,9 @@ def _write_bad_dendrograms(d):
 def _write_mistyped_json_inputs(d):
     """``flag.densities.json``, two densities whose ``direction_defined`` is
     the string "no", ``one_leaf.json``, a dendrogram of one leaf,
-    ``int_group.json``, a dataset whose groups are not strings, and
-    ``underscore_cell.csv``, a matrix with the cell ``1_5``."""
+    ``int_group.json``, a dataset whose groups are not strings,
+    ``underscore_cell.csv``, a matrix with the cell ``1_5``, and
+    ``order.json``, a moments matrix of moment order 1,001."""
     write_densities([normalize_leaf(CcdSequence(i, [1.0, 2.0, 4.0])) for i in "ab"],
                     d / "flag.densities.json")
     doc = json.loads((d / "flag.densities.json").read_text())
@@ -344,6 +347,9 @@ def _write_mistyped_json_inputs(d):
     (d / "int_group.json").write_text(
         '{"a": [1, 2, 3], "b": [3, 1, 2], "groups": {"a": 1, "b": true}}')
     (d / "underscore_cell.csv").write_text(",a,b\na,0,1_5\nb,1_5,0\n")
+    (d / "order.json").write_text(json.dumps({
+        "labels": ["a", "b"], "kind": {"tag": "moments", "moment_order": 1001},
+        "entries": [[0, 1], [1, 0]]}))
 
 
 def _duplicate_density_id(path):
@@ -559,6 +565,50 @@ def test_long_argument_gives_a_short_error(name, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
     if name == "choice":
         assert "average" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("r", ["0", "1001", "99999999999999999999"])
+def test_moment_order_out_of_bounds_fails_in_config(r, source, four_leaf_json, tmp_path,
+                                                    capsys):
+    """An r outside [1, 1,000] fails in config, before any array is built or
+    any file written, whether a flag or a config file gives it."""
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", str(four_leaf_json), "--format", "json", "--outdir", str(out)]
+    if source == "flag":
+        argv += ["--r", r]
+    else:
+        (tmp_path / "run.cfg").write_text(f"r = {r}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"leafclust: error [config] moment order must be >= 1 and <= 1,000, got {r}\n"
+    assert len(err.encode()) < 1024
+    assert not out.exists()
+
+
+def test_moment_order_at_its_bound_runs(four_leaf_json, tmp_path):
+    out = tmp_path / "out"
+    assert run("distmat", "--input", four_leaf_json, "--format", "json",
+               "--distance", "moments", "--r", 1000, "--outdir", out) == 0
+    assert read_matrix(out / "matrix_moments.json", "json").kind.moment_order == 1000
+
+
+def test_four_distances_keep_their_inequalities(tmp_path):
+    """The four matrices of one run, three from the breakpoint merge and one
+    from the moments, keep the inequalities that tie them; a repeated leaf
+    gives a pair at L1 = 0."""
+    rng = np.random.default_rng(12)
+    seqs = [helpers.directional_ccd(rng, (50, 400), f"s{i}") for i in range(8)]
+    write_dataset(Dataset((*seqs, CcdSequence("copy", seqs[0].values))),
+                  tmp_path / "leaves.json", "json")
+    out = tmp_path / "out"
+    assert run("distmat", "--input", tmp_path / "leaves.json", "--format", "json",
+               "--distance", "all", "--outdir", out) == 0
+    l1, sup, hellinger, moments = (read_matrix(out / f"matrix_{kind}.json", "json").entries
+                                   for kind in ("l1", "sup", "hellinger", "moments"))
+    broken = helpers.distance_inequality_violations(l1, sup, hellinger, moments, 5)
+    assert {name: int(mask.sum()) for name, mask in broken.items()} == dict.fromkeys(broken, 0)
 
 
 _HUGE = int("7" * 4000)

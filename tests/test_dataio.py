@@ -530,6 +530,9 @@ _MISTYPED_JSON = {
     "matrix-moment-order-zero": (_write_small_matrix, _read_matrix_json,
                                  lambda d: d["kind"].update(moment_order=0),
                                  "moment order must be >= 1"),
+    "matrix-moment-order-beyond-bound": (_write_small_matrix, _read_matrix_json,
+                                         lambda d: d["kind"].update(moment_order=1001),
+                                         "moment order must be >= 1 and <= 1,000, got 1001"),
     "dataset-value-strings": (_write_one_trace, _read_dataset_json,
                               lambda d: d.update(a=["1", "2", "4"]),
                               "'a' must be an array of numbers"),

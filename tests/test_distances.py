@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from leafclust import distances
+from leafclust import _shares, distances
 from leafclust import (
     TWO_PI,
     CcdSequence,
@@ -320,8 +320,8 @@ class TestSplitPairs:
             forks.append(fork())
             return forks[-1]
 
-        monkeypatch.setattr(distances, "_MIN_WORK_PER_SHARE", 1)
-        monkeypatch.setattr(distances, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_shares, "_MIN_WORK_PER_SHARE", 1)
+        monkeypatch.setattr(_shares, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(os, "fork", counted)
         return forks
 
@@ -356,12 +356,30 @@ class TestSplitPairs:
         assert len(forks) == 2
         forks.clear()
         if why == "little work":
-            monkeypatch.setattr(distances, "_MIN_WORK_PER_SHARE", 10 ** 9)
+            monkeypatch.setattr(_shares, "_MIN_WORK_PER_SHARE", 10 ** 9)
         else:
-            monkeypatch.setattr(distances, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(_shares, "_usable_cpus", lambda: 1)
         whole = distance_matrix(densities, labels, DistanceKind(tag)).entries
         assert forks == []
         assert whole.tobytes() == split.tobytes()
+        self._assert_no_child_left()
+
+    @pytest.mark.parametrize("shares", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 1000])
+    def test_in_shares_covers_every_value_once(self, monkeypatch, count, shares):
+        """``in_shares`` returns ``values_of`` over exactly [0, count), in order,
+        and forks one child per share but the first."""
+        forks = self._split(monkeypatch, cpus=shares)
+        asked = []
+
+        def values_of(lo, hi):
+            asked.append((lo, hi))  # seen in this process only: the first share
+            return [float(j) + 0.5 for j in range(lo, hi)]
+
+        values = _shares.in_shares(count, 10 ** 9, values_of)
+        assert values.tolist() == [j + 0.5 for j in range(count)]
+        assert len(forks) == max(1, min(shares, count)) - 1
+        assert asked == [(0, count // max(1, min(shares, count)))]
         self._assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["child", "parent", "killed", "interrupt"])
@@ -407,3 +425,15 @@ class TestSplitPairs:
 def test_kind_requires_positive_moment_order():
     with pytest.raises(ValueError):
         DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, 0)
+
+
+@pytest.mark.parametrize("r,shown", [(1001, "1001"), (10 ** 20, str(10 ** 20)),
+                                     (10 ** 1000, "1" + "0" * 17 + "..." + "0" * 19)],
+                         ids=["1001", "1e20", "1e1000"])
+def test_kind_bounds_moment_order(r, shown):
+    """r above 1,000 is rejected when the kind is built, before any moment
+    array; a long r is echoed cut short."""
+    with pytest.raises(ValueError) as raised:
+        DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, r)
+    assert str(raised.value) == f"moment order must be >= 1 and <= 1,000, got {shown}"
+    assert DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, 1000).moment_order == 1000

@@ -1,4 +1,5 @@
-"""End-to-end library property: any accepted traces run through to parsable SVGs."""
+"""Library properties: any accepted traces run through to parsable SVGs, and
+the four distances of any two densities keep the inequalities that tie them."""
 
 import tempfile
 import xml.etree.ElementTree as ET
@@ -19,6 +20,7 @@ from leafclust import (
     distance_matrix,
     leaf_outline,
     normalize_leaf,
+    pair_distance,
     plot_dendrogram,
     plot_densities,
     plot_leaves,
@@ -72,3 +74,15 @@ def test_traces_run_through_every_stage(traces):
         for name in ("densities.svg", "leaves.svg"):
             coords = _shape_coordinates(out / name)  # at least two points per leaf
             assert len(coords) >= 4 * m and np.all(np.isfinite(coords))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(1, 10), st.booleans())
+def test_distances_keep_their_inequalities(seed, max_intervals, r, same):
+    """Any two random densities, and a density with itself, where all four are 0."""
+    rng = np.random.default_rng(seed)
+    f, g = (helpers.random_density(rng, max_intervals, spread=0.9) for _ in "fg")
+    g = f if same else g
+    l1, sup, hellinger, moments = (pair_distance(f, g, DistanceKind(tag, r)) for tag in DistanceTag)
+    broken = helpers.distance_inequality_violations(l1, sup, hellinger, moments, r)
+    assert [name for name, mask in broken.items() if mask.any()] == []
