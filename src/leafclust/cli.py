@@ -7,13 +7,14 @@ defaults.  Each step, flag and config parsing included, runs in a named
 ``_stage``, the one failure boundary; ``main`` alone returns the exit code,
 which the stage name decides: 1 for the input stages ``config``, ``synth``,
 ``write`` and ``read-*``, 2 for every other stage, 0 on success.
+``StageError`` bounds every error line, however long the command line or
+its paths; ``_COMMANDS`` declares each subcommand once.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import reprlib
 import sys
 from collections import ChainMap
@@ -50,10 +51,18 @@ _OPTIONS = {
 }
 
 
+# A longer error message keeps its first and last _SHOWN // 2 characters: a
+# path or an argument list can be any length, and the start (file, flag) and
+# the end (argparse's "choose from" list) say the most.
+_SHOWN = 500
+
+
 class StageError(Exception):
     """A pipeline stage failed; its exit code follows from the stage name."""
 
     def __init__(self, stage: str, message: str):
+        if len(message) > _SHOWN:
+            message = f"{message[:_SHOWN // 2]}...{message[-(_SHOWN // 2):]}"
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
         self.code = 1 if stage in ("config", "synth", "write") or stage.startswith("read-") else 2
@@ -316,66 +325,38 @@ def cmd_pipeline(opts: Options) -> None:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    for name in names + ("config",):
-        sub.add_argument(f"--{name.replace('_', '-')}", **_OPTIONS[name][1])
-
-
-def _cut(text: str) -> str:
-    """``text`` whole up to 30 characters, else cut as ``reprlib.repr`` cuts."""
-    return text if len(text) <= 30 else f"{text[:13]}...{text[-14:]}"
-
-
-# What an argparse message echoes of the command line: a value's quoted repr,
-# or the option of an "ambiguous option" message.
-_ECHOED = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"'
-                     r"|(?<=^ambiguous option: ).*(?= could match -)", re.S)
+# name -> (function, help, options); every subcommand also takes --config.
+_COMMANDS = {
+    "synth": (cmd_synth, "generate a labeled synthetic dataset",
+              ("groups", "per_group", "n_min", "n_max", "noise", "seed", "output")),
+    "densify": (cmd_densify, "normalize a dataset into step densities",
+                ("input", "format", "outdir")),
+    "distmat": (cmd_distmat, "compute pairwise distance matrices",
+                ("input", "format", "distance", "r", "outdir")),
+    "cluster": (cmd_cluster, "cluster a distance matrix",
+                ("input", "format", "linkage", "cut", "outdir")),
+    "plot": (cmd_plot, "render density, leaf and dendrogram SVGs",
+             ("input", "format", "dendrogram", "outdir")),
+    "pipeline": (cmd_pipeline, "run the full pipeline",
+                 ("input", "format", "distance", "r", "linkage", "cut", "outdir", "no_plots")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
-    """A bad or unknown flag fails as a bad config value does, with a
-    ``ValueError`` that echoes each piece of the command line cut short."""
+    """A bad or unknown flag fails as a bad config value does, with a ``ValueError``."""
 
     def error(self, message):
-        raise ValueError(_ECHOED.sub(lambda echo: _cut(echo[0]), message))
-
-    def parse_args(self, args=None, namespace=None):
-        namespace, extras = self.parse_known_args(args, namespace)
-        if extras:  # argparse's own message holds every one of them whole
-            raise ValueError(f"unrecognized arguments: {' '.join(map(_cut, extras))}")
-        return namespace
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="leafclust",
-        description="Cluster leaf shapes from centroid-contour-distance traces.",
-    )
+    parser = _Parser(prog="leafclust",
+                     description="Cluster leaf shapes from centroid-contour-distance traces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    _add_common(p, "groups", "per_group", "n_min", "n_max", "noise", "seed", "output")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("densify", help="normalize a dataset into step densities")
-    _add_common(p, "input", "format", "outdir")
-    p.set_defaults(func=cmd_densify)
-
-    p = sub.add_parser("distmat", help="compute pairwise distance matrices")
-    _add_common(p, "input", "format", "distance", "r", "outdir")
-    p.set_defaults(func=cmd_distmat)
-
-    p = sub.add_parser("cluster", help="cluster a distance matrix")
-    _add_common(p, "input", "format", "linkage", "cut", "outdir")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("plot", help="render density, leaf and dendrogram SVGs")
-    _add_common(p, "input", "format", "dendrogram", "outdir")
-    p.set_defaults(func=cmd_plot)
-
-    p = sub.add_parser("pipeline", help="run the full pipeline")
-    _add_common(p, "input", "format", "distance", "r", "linkage", "cut", "outdir", "no_plots")
-    p.set_defaults(func=cmd_pipeline)
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in (*keys, "config"):
+            p.add_argument(f"--{key.replace('_', '-')}", **_OPTIONS[key][1])
     return parser
 
 
@@ -384,7 +365,7 @@ def main(argv=None) -> int:
         with _stage("config"):  # SystemExit from -h passes through
             args = build_parser().parse_args(argv)
             opts = Options(args)
-        args.func(opts)
+        _COMMANDS[args.command][0](opts)
     except StageError as exc:
         print(f"leafclust: error {exc}", file=sys.stderr)
         return exc.code

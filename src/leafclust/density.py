@@ -36,6 +36,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _echo(value) -> str:
+    """``reprlib.repr(value)``, which cuts a long value short; an int with more
+    digits than Python turns into text is shown by its bit length instead."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"<{'negative ' * (value < 0)}int of {value.bit_length():,} bits>"
+
+
 @dataclass(frozen=True)
 class CcdSequence:
     """A raw CCD trace: distances to the centroid along the contour.

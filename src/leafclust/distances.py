@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from ._shares import in_shares
-from .density import StepDensity, _frozen_array, trig_moments
+from .density import StepDensity, _echo, _frozen_array, trig_moments
 
 
 class DistanceTag(str, Enum):
@@ -50,7 +50,7 @@ class DistanceKind:
         r = self.moment_order
         if self.tag is DistanceTag.MOMENT_EUCLIDEAN and not 1 <= r <= _MAX_MOMENT_ORDER:
             raise ValueError(f"moment order must be >= 1 and <= {_MAX_MOMENT_ORDER:,}, "
-                             f"got {reprlib.repr(r)}")
+                             f"got {_echo(r)}")
 
     @property
     def name(self) -> str:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -13,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from leafclust import (
-    CcdSequence, Dataset, InvalidCcdError, normalize_leaf, read_dataset, read_matrix,
-    write_dataset, write_densities,
+    CcdSequence, Dataset, DistanceKind, DistanceTag, InvalidCcdError, agglomerate,
+    distance_matrix, normalize_leaf, read_dataset, read_matrix, write_dataset,
+    write_dendrogram, write_densities, write_matrix,
 )
 from leafclust import cli
 from leafclust.cli import main
@@ -539,32 +542,161 @@ def test_long_config_input_gives_a_short_error(name, four_leaf_json, tmp_path, c
     assert len(err.encode()) < 1024
 
 
-# argv -> the start of the message (argparse words the rest differently by version)
+# argv -> the stage and start of the message (argparse and the OS word the
+# rest differently by version)
 _LONG_ARGUMENTS = {
     "choice": (["pipeline", "--input", "x.json", "--linkage", "a" * 50_000],
-               "argument --linkage: invalid choice: "),
+               "[config] argument --linkage: invalid choice: "),
     "int": (["pipeline", "--input", "x.json", "--r", "9" * 5_000],
-            "argument --r: invalid int value: "),
+            "[config] argument --r: invalid int value: "),
     "unknown flag": (["pipeline", "--input", "x.json", "--bogus", "b" * 5_000],
-                     "unrecognized arguments: --bogus "),
-    "subcommand": (["c" * 5_000], "argument command: invalid choice: "),
-    "ambiguous flag": (["synth", "--n=" + "n" * 5_000], "ambiguous option: --n="),
+                     "[config] unrecognized arguments: --bogus "),
+    "subcommand": (["c" * 5_000], "[config] argument command: invalid choice: "),
+    "ambiguous flag": (["synth", "--n=" + "n" * 5_000], "[config] ambiguous option: --n="),
+    "many unknown arguments": (["pipeline", "--input", "x.json", *["ab"] * 50_000],
+                               "[config] unrecognized arguments: ab ab "),
+    "input path": (["pipeline", "--input", "p" * 4_000], "[read-dataset] "),
+    "output directory": (["synth", "--groups", "1", "--per-group", "2", "--n-min", "3",
+                          "--n-max", "9", "--output", "o" * 3_000 + "/s.json"], "[write] "),
 }
 
 
 @pytest.mark.parametrize("name", _LONG_ARGUMENTS)
 def test_long_argument_gives_a_short_error(name, tmp_path, capsys, monkeypatch):
-    """A long flag value, unknown argument or subcommand name is echoed cut
-    short, as reprlib cuts; the flag name and the choices stay."""
+    """A long flag value, argument list or path gives one short line that
+    keeps its start and end: the stage, the flag name and the choices stay."""
     argv, start = _LONG_ARGUMENTS[name]
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"leafclust: error [config] {start}")
+    assert err.startswith(f"leafclust: error {start}")
     assert len(err.encode()) < 1024
     assert list(tmp_path.iterdir()) == []
     if name == "choice":
         assert "average" in err
+
+
+@pytest.mark.parametrize("length", [500, 501])
+def test_stage_error_keeps_the_start_and_end_of_a_long_message(length):
+    message = "".join(chr(ord("a") + i % 26) for i in range(length))
+    shown = message if length <= 500 else f"{message[:250]}...{message[-250:]}"
+    assert str(cli.StageError("config", message)) == f"[config] {shown}"
+
+
+# option -> (valid values, bad values) for the CLI property; "in.{format}" is
+# the input written for the run's format, only distmat reads densities, and a
+# cut of 9 exceeds every m.
+_PROPERTY_VALUES = {
+    "input": (("in.{format}",), ("missing.csv",)),
+    "format": (("csv", "json"), ("xml", "densities")),
+    "distance": (cli.DISTANCE_CHOICES, ("foo",)),
+    "r": (("1", "3"), ("0", "abc")),
+    "linkage": (("complete", "single", "average"), ("ward",)),
+    "cut": (("1", "2", "9"), ("0", "x")),
+    "outdir": (("out",), ("in.csv",)),
+    "dendrogram": (("dendrogram.json",), ("missing.json",)),
+    "groups": (("1", "2"), ("two",)), "per_group": (("1", "3"), ("-1",)),
+    "n_min": (("3", "10"), ("x",)), "n_max": (("20", "40"), ("x",)),
+    "noise": (("0", "0.05"), ("nan",)), "seed": (("0", "7"), ("x",)),
+    "output": (("s.json",), ("missing/s.json",)),
+}
+
+
+def _option_argv(key, bad):
+    """The ways a run can give option ``key``: with a bad value, or else with a
+    valid one or not at all (which for ``input`` is bad)."""
+    flag = f"--{key.replace('_', '-')}"
+    if key == "no_plots":
+        return [(f"{flag}=yes",)] if bad else [(), (flag,)]
+    valid, wrong = _PROPERTY_VALUES[key]
+    if bad:
+        return [(flag, value) for value in wrong] + [()] * (key == "input")
+    return [()] * (key != "input") + [(flag, value) for value in valid]
+
+
+def _write_property_inputs(d, command, m, seed):
+    """``in.csv``, ``in.json`` and ``in.densities``, the input of ``command``
+    in each format (for ``cluster`` a matrix, ``in.densities`` in JSON), and
+    ``dendrogram.json``, from m leaves of at most 40 values."""
+    rng = np.random.default_rng(seed)
+    dataset = Dataset(tuple(helpers.directional_ccd(rng, (3, 40), f"s{i}") for i in range(m)))
+    densities = [normalize_leaf(seq) for seq in dataset.sequences]
+    dm = distance_matrix(densities, dataset.ids, DistanceKind("l1"))
+    if command == "cluster":
+        for fmt, ext in (("csv", "csv"), ("json", "json"), ("json", "densities")):
+            write_matrix(dm, d / f"in.{ext}", fmt)
+    else:
+        write_dataset(dataset, d / "in.csv", "csv")
+        write_dataset(dataset, d / "in.json", "json")
+        write_densities(densities, d / "in.densities")
+    write_dendrogram(agglomerate(dm), d / "dendrogram.json")
+
+
+def _expected_files(command, opts):
+    """The files README lists for a run of ``command`` with options ``opts`` that succeeds."""
+    if command == "synth":
+        return {opts["output"]}
+    plots = command == "plot" or command == "pipeline" and not opts["no_plots"]
+    tree = ["dendrogram.json", "dendrogram.nwk"] + ["clusters.json"] * (opts["cut"] is not None)
+    names = {"densify": ["densities.json"], "cluster": tree,
+             "plot": ["dendrogram.svg"] * (opts["dendrogram"] is not None)}.get(command, [])
+    per_kind = {"distmat": ["matrix.csv", "matrix.json"],
+                "pipeline": ["matrix.csv", "matrix.json", *tree, *["dendrogram.svg"] * plots]}
+    kinds = [tag.value for tag in DistanceTag] if opts["distance"] == "all" else [opts["distance"]]
+    names += [name.replace(".", f"_{kind}.")
+              for name in per_kind.get(command, []) for kind in kinds]
+    if plots:
+        names += ["densities_unrotated.svg", "densities_normalized.svg",
+                  "leaves_unrotated.svg", "leaves_rotated.svg"]
+    return {f"{opts['outdir']}/{name}" for name in names}
+
+
+@st.composite
+def _cli_runs(draw):
+    """A subcommand, how each of its options is given, m and a seed."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    keys = cli._COMMANDS[command][2]
+    bad = draw(st.one_of(st.none(), st.sampled_from(keys)))  # at most one bad option
+    options = {key: draw(st.sampled_from(_option_argv(key, key == bad))) for key in keys}
+    return command, options, draw(st.integers(2, 6)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=_cli_runs())
+def test_every_run_keeps_the_exit_code_contract(case, tmp_path_factory):
+    """For a subcommand with its options valid or left out, or one of them
+    bad, on m <= 6 leaves: exit 0 writes the files README lists, exit 1 writes
+    nothing, exit 2 names a computation stage, and stderr holds at most one
+    bounded line."""
+    command, options, m, seed = case
+    opts = {key: default for key, (default, _) in cli._OPTIONS.items()}
+    opts.update((key, argv[-1] if len(argv) == 2 else True)
+                for key, argv in options.items() if argv)
+    argv = [command, *(arg.format(format=opts["format"])
+                       for given in options.values() for arg in given)]
+    d = tmp_path_factory.mktemp("run")
+    _write_property_inputs(d, command, m, seed)
+    before = sorted(d.rglob("*"))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        mp.chdir(d)
+        code = main(argv)
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == ""
+        written = {p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()}
+        assert written - {p.relative_to(d).as_posix() for p in before} == \
+            _expected_files(command, opts)
+        return
+    line = re.fullmatch(r"leafclust: error \[([\w-]+)\] ([^\n]*)\n", err)
+    assert line and len(line[2]) <= cli._SHOWN + 3, err
+    if code == 1:
+        assert sorted(d.rglob("*")) == before
+    else:
+        assert code == 2
+        assert re.fullmatch(r"normalize|distances-(l1|sup|hellinger|moments)|cluster|cut|plot",
+                            line[1])
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -783,12 +915,10 @@ class TestConfigFile:
         in that order; ``config`` itself is the flag naming the file."""
         assert set(_LAYER_VALUES) == set(cli._OPTIONS) - {"config"}
         parser = cli.build_parser()
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction)).choices
         flag = f"--{key.replace('_', '-')}"
-        command = next(name for name, sub in subparsers.items()
-                       if flag in sub._option_string_actions)
-        needs_input = key != "input" and "--input" in subparsers[command]._option_string_actions
+        command, keys = next((name, keys) for name, (_, _, keys) in cli._COMMANDS.items()
+                             if key in keys)
+        needs_input = key != "input" and "input" in keys
         base = [command, *(["--input", "x.json"] if needs_input else [])]
         flag_text, file_text = _LAYER_VALUES[key]
         flag_value = True if flag_text is None else cli._config_value(key, flag_text)

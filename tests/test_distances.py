@@ -428,11 +428,13 @@ def test_kind_requires_positive_moment_order():
 
 
 @pytest.mark.parametrize("r,shown", [(1001, "1001"), (10 ** 20, str(10 ** 20)),
-                                     (10 ** 1000, "1" + "0" * 17 + "..." + "0" * 19)],
-                         ids=["1001", "1e20", "1e1000"])
+                                     (10 ** 1000, "1" + "0" * 17 + "..." + "0" * 19),
+                                     (10 ** 5000, "<int of 16,610 bits>"),
+                                     (-10 ** 5000, "<negative int of 16,610 bits>")],
+                         ids=["1001", "1e20", "1e1000", "1e5000", "-1e5000"])
 def test_kind_bounds_moment_order(r, shown):
     """r above 1,000 is rejected when the kind is built, before any moment
-    array; a long r is echoed cut short."""
+    array; a long r is echoed cut short, and one too long to print by its size."""
     with pytest.raises(ValueError) as raised:
         DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, r)
     assert str(raised.value) == f"moment order must be >= 1 and <= 1,000, got {shown}"

@@ -461,3 +461,13 @@ class TestDendrogramValidation:
     def test_rejects_wrong_merge_count(self):
         with pytest.raises(ValueError):
             Dendrogram(("a", "b", "c"), (Merge(0, 1, 1.0, 2),))
+
+    @pytest.mark.parametrize("merge,message", [
+        (Merge(10 ** 5000, 1, 1.0, 2), "merge 0: child id <int of 16,610 bits> out of range"),
+        (Merge(0, 1, 1.0, 10 ** 5000),
+         "merge 0: size <int of 16,610 bits>, but its children hold 2"),
+    ], ids=["child-id", "size"])
+    def test_int_too_long_to_print_is_echoed_by_size(self, merge, message):
+        with pytest.raises(ValueError) as raised:
+            Dendrogram(("a", "b"), (merge,))
+        assert str(raised.value) == message

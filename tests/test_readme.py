@@ -1,5 +1,6 @@
 """The README's library quick start runs as written and prints what it
-shows, and its exit-code rule covers every stage the CLI names."""
+shows, its exit-code rule covers every stage the CLI names, and it lists
+every subcommand."""
 
 import ast
 import contextlib
@@ -62,3 +63,10 @@ def test_every_cli_stage_exits_as_the_readme_says():
         assert cli.StageError(stage, "x").code == matched[0], stage
     for pattern in codes:
         assert any(_covers(pattern, stage) for stage in stages), f"no stage {pattern!r}"
+
+
+def test_readme_lists_every_subcommand():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    found = re.search(r"Each pipeline stage is a subcommand \((.+?)\)", text)
+    assert found, "README lists no subcommands"
+    assert re.findall(r"`([^`]+)`", found[1]) == list(cli._COMMANDS)
