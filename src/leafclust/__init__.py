@@ -38,6 +38,7 @@ from .distances import (
     DistanceKind,
     DistanceMatrix,
     DistanceTag,
+    Pairs,
     dist_hellinger_sq,
     dist_l1,
     dist_moment_euclidean,
@@ -76,6 +77,7 @@ __all__ = [
     "pair_distance",
     "merge_breakpoints",
     "distance_matrix",
+    "Pairs",
     "Linkage",
     "Merge",
     "Dendrogram",

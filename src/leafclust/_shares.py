@@ -1,11 +1,11 @@
-"""Contiguous shares of a run of values, each share in its own process.
+"""Contiguous shares of a run of rows, each share in its own process.
 
-A run of ``count`` values is cut into contiguous shares, as many as the
-usable CPUs and the work allow, and each share's values are written into
-its own slice of one buffer: this process fills the first share, and a
-forked child each other, sharing the buffer with the parent.  Every value
-comes from the same ``values_of`` either way, so the result is byte-identical
-whatever the CPU count.
+A run of ``count`` rows of ``width`` floats is cut into contiguous shares,
+as many as the usable CPUs and the work allow, and each share's rows are
+written into its own slice of one buffer: this process fills the first
+share, and a forked child each other, sharing the buffer with the parent.
+Every row comes from the same ``values_of`` either way, so the result is
+byte-identical whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ def _usable_cpus() -> int:
     return 1
 
 
-def in_shares(count: int, work: int, values_of) -> np.ndarray:
-    """The ``count`` floats ``values_of(lo, hi)`` gives for ``[lo, hi)``, in order.
+def in_shares(count: int, work: int, values_of, width: int = 1) -> np.ndarray:
+    """The ``(count, width)`` array of the rows ``values_of(lo, hi)`` gives for
+    ``[lo, hi)``, in order: ``hi - lo`` rows of ``width`` floats each.
 
     The run is cut into ``max(1, min(cpus, count, work // _MIN_WORK_PER_SHARE))``
     contiguous shares of equal count, so one share forks nothing.
@@ -44,8 +45,13 @@ def in_shares(count: int, work: int, values_of) -> np.ndarray:
     share raises (a KeyboardInterrupt too), the children are killed.
     """
     shares = max(1, min(_usable_cpus(), count, work // _MIN_WORK_PER_SHARE))
-    # Anonymous, so shared across fork; mmap cannot map 0 bytes (no values).
-    values = np.frombuffer(mmap.mmap(-1, 8 * max(1, count)))[:count]
+    # Anonymous, so shared across fork; mmap cannot map 0 bytes (no rows).
+    values = np.frombuffer(mmap.mmap(-1, 8 * max(1, count * width)))[:count * width]
+    values = values.reshape(count, width)
+
+    def fill(lo, hi):
+        values[lo:hi] = np.reshape(values_of(lo, hi), (hi - lo, width))
+
     cuts = [count * s // shares for s in range(shares + 1)]
     children = []  # pids not yet reaped
     try:
@@ -54,12 +60,12 @@ def in_shares(count: int, work: int, values_of) -> np.ndarray:
             if pid == 0:
                 code = 1
                 try:
-                    values[lo:hi] = values_of(lo, hi)
+                    fill(lo, hi)
                     code = 0
                 finally:
                     os._exit(code)
             children.append(pid)
-        values[:cuts[1]] = values_of(0, cuts[1])
+        fill(0, cuts[1])
         while children:
             pid, status = os.waitpid(children[0], 0)
             children.pop(0)

@@ -7,8 +7,8 @@ defaults.  Each step, flag and config parsing included, runs in a named
 ``_stage``, the one failure boundary; ``main`` alone returns the exit code,
 which the stage name decides: 1 for the input stages ``config``, ``synth``,
 ``write`` and ``read-*``, 2 for every other stage, 0 on success.
-``StageError`` bounds every error line, however long the command line or
-its paths; ``_COMMANDS`` declares each subcommand once.
+``StageError`` keeps every error line one line and bounds its bytes, however
+long the command line or its paths; ``_COMMANDS`` declares each subcommand once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import dataio, svgplot, synth
 from .density import density_from_ccd, leaf_outline, normalize_leaf
-from .distances import DistanceKind, DistanceTag, distance_matrix
+from .distances import DistanceKind, DistanceTag, Pairs, distance_matrix
 from .hcluster import Linkage, agglomerate, cut, to_newick
 
 DISTANCE_CHOICES = tuple(tag.value for tag in DistanceTag) + ("all",)
@@ -51,18 +51,26 @@ _OPTIONS = {
 }
 
 
-# A longer error message keeps its first and last _SHOWN // 2 characters: a
-# path or an argument list can be any length, and the start (file, flag) and
-# the end (argparse's "choose from" list) say the most.
+# A longer error message keeps its first and last _SHOWN // 2 bytes of UTF-8,
+# cut between characters: a path or an argument list can be any length, and
+# the start (file, flag) and the end (argparse's "choose from" list) say the
+# most.
 _SHOWN = 500
+
+# Characters a message shows escaped, as repr does, so that it stays one line:
+# C0 and C1 controls, DEL and the Unicode line and paragraph separators.  The
+# lone surrogates of undecodable paths and arguments are escaped as they encode.
+_ESCAPED = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
 
 
 class StageError(Exception):
     """A pipeline stage failed; its exit code follows from the stage name."""
 
     def __init__(self, stage: str, message: str):
-        if len(message) > _SHOWN:
-            message = f"{message[:_SHOWN // 2]}...{message[-(_SHOWN // 2):]}"
+        raw = message.translate(_ESCAPED).encode(errors="backslashreplace")
+        if len(raw) > _SHOWN:  # decoding drops the parts of the characters cut
+            raw = raw[:_SHOWN // 2] + b"..." + raw[-(_SHOWN // 2):]
+        message = raw.decode(errors="ignore")
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
         self.code = 1 if stage in ("config", "synth", "write") or stage.startswith("read-") else 2
@@ -222,14 +230,20 @@ def _densities_for_distmat(opts: Options):
 
 
 def _distance_stage(opts: Options, densities, out: Path):
-    """Compute and write (CSV and JSON) one matrix per requested kind."""
+    """Compute and write (CSV and JSON) one matrix per requested kind.
+
+    The first integral kind's stage computes every requested integral kind,
+    from one merge per pair (``Pairs``); the later ones read their values.
+    """
     labels = [d.source_id for d in densities]
     name = opts.get("distance")
+    kinds = [DistanceKind(tag, opts.get("r"))
+             for tag in (list(DistanceTag) if name == "all" else [DistanceTag(name)])]
+    pairs = Pairs(densities, kinds)
     matrices = []
-    for tag in list(DistanceTag) if name == "all" else [DistanceTag(name)]:
-        kind = DistanceKind(tag, opts.get("r"))
+    for kind in kinds:
         with _stage(f"distances-{kind.name}"):
-            dm = distance_matrix(densities, labels, kind)
+            dm = distance_matrix(pairs, labels, kind)
         for fmt in ("csv", "json"):
             path = out / f"matrix_{kind.name}.{fmt}"
             with _writing(path):

@@ -4,11 +4,14 @@ All integral distances are evaluated exactly: two step densities are
 refined onto the union of their breakpoints, where both are constant on
 every interval, so each integral reduces to a finite sum over that one
 refinement.  The moment distance compares closed-form trigonometric moment
-vectors, computed once per density.  One kernel per kind (``_kernel``)
-gives the items a pair compares and the distance between two of them, for
-a single pair and for a matrix alike.  A grid-based approximation exists
-only as a cross-check in the test suite.  ``_shares.in_shares`` splits a
-matrix's pairs across processes.
+vectors, computed once per density.  One kernel per pass (``_kernel``)
+gives the items a pair compares and the row of distances between two of
+them, for a single pair and for a matrix alike; the integral kinds of a
+pass share one merge per pair.  ``Pairs`` holds a run's densities and
+computes every integral kind it was built for in one such pass, the first
+time ``distance_matrix`` asks for one of them.  A grid-based approximation
+exists only as a cross-check in the test suite.  ``_shares.in_shares``
+splits a pass's pairs across processes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -114,12 +118,28 @@ def merge_breakpoints(f: StepDensity, g: StepDensity):
     return np.append(merged[left], merged[-1]), f.heights[f_count - 1], g.heights[left - f_count]
 
 
+class _Refinement:
+    """The common refinement of two densities (``merge_breakpoints``), with the
+    interval widths and height gaps that several reducers read, each computed
+    once, when first read."""
+
+    def __init__(self, f: StepDensity, g: StepDensity):
+        self.breaks, self.fh, self.gh = merge_breakpoints(f, g)
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        return np.diff(self.breaks)
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        return np.abs(self.fh - self.gh)
+
+
 # Reducers of the common refinement, one per integral distance.
 _REDUCERS = {
-    DistanceTag.L1: lambda breaks, fh, gh: np.sum(np.abs(fh - gh) * np.diff(breaks)),
-    DistanceTag.SUP: lambda breaks, fh, gh: np.max(np.abs(fh - gh)),
-    DistanceTag.HELLINGER_SQ: lambda breaks, fh, gh: np.sum(
-        (np.sqrt(fh) - np.sqrt(gh)) ** 2 * np.diff(breaks)),
+    DistanceTag.L1: lambda r: np.sum(r.gaps * r.widths),
+    DistanceTag.SUP: lambda r: np.max(r.gaps),
+    DistanceTag.HELLINGER_SQ: lambda r: np.sum((np.sqrt(r.fh) - np.sqrt(r.gh)) ** 2 * r.widths),
 }
 
 
@@ -153,27 +173,74 @@ def dist_moment_euclidean(f: StepDensity, g: StepDensity, r: int = 5) -> float:
     return pair_distance(f, g, DistanceKind(DistanceTag.MOMENT_EUCLIDEAN, r))
 
 
-def _kernel(densities, kind: DistanceKind):
-    """``(items, size, pair)`` of one kind: the items a pair compares (the
-    densities, or for ``moments`` their moment vectors), their total size
-    (intervals or vector entries) and the distance between two items."""
-    if kind.tag is DistanceTag.MOMENT_EUCLIDEAN:
+def _kernel(densities, kinds):
+    """``(items, size, row)`` of one pass over ``kinds``, either integral kinds
+    or one ``moments`` kind: the items a pair compares (the densities, or
+    their moment vectors), their total size (intervals or vector entries) and
+    the distances between two items, one per kind.  The integral kinds share
+    one merge per pair."""
+    if kinds[0].tag is DistanceTag.MOMENT_EUCLIDEAN:
+        (kind,) = kinds
         items = [trig_moments(d, kind.moment_order).as_vector() for d in densities]
-        return items, sum(v.size for v in items), lambda u, v: float(np.linalg.norm(u - v))
-    reduce = _REDUCERS[kind.tag]
+        return items, sum(v.size for v in items), lambda u, v: [float(np.linalg.norm(u - v))]
+    reducers = [_REDUCERS[kind.tag] for kind in kinds]
+
+    def row(f, g):
+        refinement = _Refinement(f, g)
+        return [float(reduce(refinement)) for reduce in reducers]
+
     items = list(densities)
-    return (items, sum(d.n_intervals for d in items),
-            lambda f, g: float(reduce(*merge_breakpoints(f, g))))
+    return items, sum(d.n_intervals for d in items), row
 
 
 def pair_distance(f: StepDensity, g: StepDensity, kind: DistanceKind) -> float:
     """Distance between two densities under the selected kind."""
-    (u, v), _, pair = _kernel((f, g), kind)
-    return pair(u, v)
+    (u, v), _, row = _kernel((f, g), [kind])
+    return row(u, v)[0]
+
+
+def _column(kind: DistanceKind):
+    """A kind's column in ``Pairs``: its tag, or for ``moments`` the kind itself (with r)."""
+    return kind if kind.tag is DistanceTag.MOMENT_EUCLIDEAN else kind.tag
+
+
+class Pairs:
+    """A run's densities and their distances over every unordered pair.
+
+    A kind's values are computed the first time they are asked for.  The
+    first integral kind asked computes every integral kind of ``kinds`` in
+    the same pass, from one ``merge_breakpoints`` per pair, and the others
+    then read their column; a ``moments`` kind, or a kind not in ``kinds``,
+    is a pass of its own.
+    """
+
+    def __init__(self, densities, kinds):
+        self.densities = list(densities)
+        self.upper = np.triu_indices(len(self.densities), 1)
+        self._integral = {k.tag: k for k in kinds if k.tag in _REDUCERS}
+        self._columns: dict = {}
+
+    def values(self, kind: DistanceKind) -> np.ndarray:
+        """``kind``'s distances over the pairs ``self.upper`` lists, in order."""
+        column = _column(kind)
+        if column not in self._columns:
+            kinds = list(self._integral.values()) if column in self._integral else [kind]
+            items, size, row = _kernel(self.densities, kinds)
+            iu, ku = self.upper
+
+            def values_of(lo, hi):
+                return [row(items[i], items[k])
+                        for i, k in zip(iu[lo:hi].tolist(), ku[lo:hi].tolist())]
+
+            # Merged points over all pairs: each item takes part in m - 1 merges.
+            table = in_shares(iu.size, (len(items) - 1) * size, values_of, len(kinds))
+            self._columns.update(zip(map(_column, kinds), table.T))
+        return self._columns[column]
 
 
 def distance_matrix(densities, labels, kind: DistanceKind) -> DistanceMatrix:
-    """All-pairs distance matrix over a list of densities.
+    """All-pairs distance matrix over a list of densities, or over a ``Pairs``
+    table built for several kinds.
 
     Per-density work (the moment vectors) is done once per density.  Each
     unordered pair is then computed once and mirrored, which makes the
@@ -181,14 +248,9 @@ def distance_matrix(densities, labels, kind: DistanceKind) -> DistanceMatrix:
     across the usable CPUs by ``_shares.in_shares``.  ``DistanceMatrix``
     checks the labels.
     """
-    items, size, pair = _kernel(densities, kind)
-    m = len(items)
-    iu, ku = np.triu_indices(m, 1)
-
-    def values_of(lo, hi):
-        return [pair(items[i], items[k]) for i, k in zip(iu[lo:hi].tolist(), ku[lo:hi].tolist())]
-
+    pairs = densities if isinstance(densities, Pairs) else Pairs(densities, [kind])
+    iu, ku = pairs.upper
+    m = len(pairs.densities)
     entries = np.zeros((m, m))
-    # Merged points over all pairs: each item takes part in m - 1 merges.
-    entries[iu, ku] = entries[ku, iu] = in_shares(iu.size, (m - 1) * size, values_of)
+    entries[iu, ku] = entries[ku, iu] = pairs.values(kind)
     return DistanceMatrix(tuple(labels), entries, kind)

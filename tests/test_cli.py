@@ -409,6 +409,8 @@ def _matrix_json(tag):
 _NAMED_INPUT_ERRORS = {
     "header_only.csv": ("densify --format csv", lambda p: p.write_text("id,value\n"),
                         "read-dataset", "dataset is empty"),
+    "line\nbreak.csv": ("densify --format csv", lambda p: p.write_text("id,value\n"),
+                        "read-dataset", "dataset is empty"),
     "unknown_group.json": (
         "densify --format json",
         lambda p: p.write_text('{"a": [1, 2, 3], "groups": {"b": "x"}}'),
@@ -515,7 +517,8 @@ def test_input_error_names_the_file_once(name, tmp_path, capsys):
     write(path)
     assert main([*command.split(), "--input", str(path), "--outdir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err == f"leafclust: error [{stage}] {path}: {message}\n"
+    shown = str(path).replace("\n", "\\n")  # a line break in the name shows escaped
+    assert err == f"leafclust: error [{stage}] {shown}: {message}\n"
     assert len(err.encode()) < 1024
     assert sorted(tmp_path.iterdir()) == [path]
 
@@ -558,18 +561,25 @@ _LONG_ARGUMENTS = {
     "input path": (["pipeline", "--input", "p" * 4_000], "[read-dataset] "),
     "output directory": (["synth", "--groups", "1", "--per-group", "2", "--n-min", "3",
                           "--n-max", "9", "--output", "o" * 3_000 + "/s.json"], "[write] "),
+    "line break": (["pipeline", "--input", "x.json", "a\nb\r\x85c\u2028d"],
+                   "[config] unrecognized arguments: a\\nb\\r\\x85c\\u2028d\n"),
+    "four-byte characters": (["pipeline", "--input", "\U0001F600" * 4_000], "[read-dataset] "),
+    "two-byte characters": (["pipeline", "--input", "x.json", "--linkage", "\u00e9" * 4_000],
+                            "[config] argument --linkage: invalid choice: "),
 }
 
 
 @pytest.mark.parametrize("name", _LONG_ARGUMENTS)
 def test_long_argument_gives_a_short_error(name, tmp_path, capsys, monkeypatch):
-    """A long flag value, argument list or path gives one short line that
-    keeps its start and end: the stage, the flag name and the choices stay."""
+    """A long flag value, argument list or path, or one with line breaks or
+    non-ASCII text, gives one short line that keeps its start and end: the
+    stage, the flag name and the choices stay."""
     argv, start = _LONG_ARGUMENTS[name]
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"leafclust: error {start}")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert len(err.encode()) < 1024
     assert list(tmp_path.iterdir()) == []
     if name == "choice":
@@ -583,15 +593,26 @@ def test_stage_error_keeps_the_start_and_end_of_a_long_message(length):
     assert str(cli.StageError("config", message)) == f"[config] {shown}"
 
 
+@pytest.mark.parametrize("message,shown", [
+    ("\u00e9" * 300, "\u00e9" * 125 + "..." + "\u00e9" * 125),
+    ("x" + "\U0001F600" * 200, "x" + "\U0001F600" * 62 + "..." + "\U0001F600" * 62),
+    ("a\x00b\tc\nd\x7f\x9fe\u2029f\udcffg", "a\\x00b\\tc\\nd\\x7f\\x9fe\\u2029f\\udcffg"),
+], ids=["two-byte", "four-byte", "controls"])
+def test_stage_error_shows_one_line_of_whole_characters(message, shown):
+    """Control characters, line breaks and lone surrogates show escaped, and a
+    message past _SHOWN bytes of UTF-8 is cut between characters."""
+    assert str(cli.StageError("config", message)) == f"[config] {shown}"
+
+
 # option -> (valid values, bad values) for the CLI property; "in.{format}" is
 # the input written for the run's format, only distmat reads densities, and a
 # cut of 9 exceeds every m.
 _PROPERTY_VALUES = {
-    "input": (("in.{format}",), ("missing.csv",)),
+    "input": (("in.{format}",), ("missing.csv", "\U0001F600" * 300)),
     "format": (("csv", "json"), ("xml", "densities")),
     "distance": (cli.DISTANCE_CHOICES, ("foo",)),
     "r": (("1", "3"), ("0", "abc")),
-    "linkage": (("complete", "single", "average"), ("ward",)),
+    "linkage": (("complete", "single", "average"), ("ward", "wa\nrd")),
     "cut": (("1", "2", "9"), ("0", "x")),
     "outdir": (("out",), ("in.csv",)),
     "dendrogram": (("dendrogram.json",), ("missing.json",)),
@@ -691,6 +712,7 @@ def test_every_run_keeps_the_exit_code_contract(case, tmp_path_factory):
         return
     line = re.fullmatch(r"leafclust: error \[([\w-]+)\] ([^\n]*)\n", err)
     assert line and len(line[2]) <= cli._SHOWN + 3, err
+    assert len(line[2].encode()) <= cli._SHOWN + 3, err
     if code == 1:
         assert sorted(d.rglob("*")) == before
     else:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from leafclust import _shares, distances
+from leafclust import _shares, cli, distances
 from leafclust import (
     TWO_PI,
     CcdSequence,
@@ -28,6 +28,7 @@ from leafclust import (
     rotate_density,
     synth_dataset,
     trig_moments,
+    write_dataset,
 )
 
 UNIFORM = density_from_ccd(CcdSequence("u", np.ones(4)))
@@ -367,19 +368,41 @@ class TestSplitPairs:
     @pytest.mark.parametrize("shares", [1, 2, 3, 4])
     @pytest.mark.parametrize("count", [0, 1, 2, 5, 1000])
     def test_in_shares_covers_every_value_once(self, monkeypatch, count, shares):
-        """``in_shares`` returns ``values_of`` over exactly [0, count), in order,
-        and forks one child per share but the first."""
+        """``in_shares`` returns the rows ``values_of`` gives over exactly
+        [0, count), in order, one float wide or several, and forks one child
+        per share but the first."""
         forks = self._split(monkeypatch, cpus=shares)
-        asked = []
+        for width in (1, 3):
+            asked = []
 
-        def values_of(lo, hi):
-            asked.append((lo, hi))  # seen in this process only: the first share
-            return [float(j) + 0.5 for j in range(lo, hi)]
+            def values_of(lo, hi):
+                asked.append((lo, hi))  # seen in this process only: the first share
+                return [[j + 0.5 + c / 4 for c in range(width)] for j in range(lo, hi)]
 
-        values = _shares.in_shares(count, 10 ** 9, values_of)
-        assert values.tolist() == [j + 0.5 for j in range(count)]
-        assert len(forks) == max(1, min(shares, count)) - 1
-        assert asked == [(0, count // max(1, min(shares, count)))]
+            values = _shares.in_shares(count, 10 ** 9, values_of, width)
+            assert values.tolist() == [[j + 0.5 + c / 4 for c in range(width)]
+                                       for j in range(count)]
+            assert len(forks) == max(1, min(shares, count)) - 1
+            assert asked == [(0, count // max(1, min(shares, count)))]
+            self._assert_no_child_left()
+            forks.clear()
+
+    @pytest.mark.parametrize("shares", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tags", [("l1",), ("sup", "hellinger"), ("l1", "sup", "hellinger")],
+                             ids="+".join)
+    def test_table_equals_one_share_one_kind(self, monkeypatch, tags, shares):
+        """A ``Pairs`` table computes its integral kinds in one pass, split
+        into ``shares``, and each matrix is the one-share, one-kind matrix."""
+        densities = [normalize_leaf(seq)
+                     for seq in synth_dataset(1, 7, (50, 400), 0.02, 7).sequences]
+        labels = [d.source_id for d in densities]
+        kinds = [DistanceKind(tag) for tag in tags]
+        whole = [distance_matrix(densities, labels, kind).entries for kind in kinds]
+        forks = self._split(monkeypatch, cpus=shares)
+        pairs = distances.Pairs(densities, kinds)
+        for kind, one in zip(kinds, whole):
+            assert distance_matrix(pairs, labels, kind).entries.tobytes() == one.tobytes()
+        assert len(forks) == shares - 1  # one pass for every kind of the table
         self._assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["child", "parent", "killed", "interrupt"])
@@ -420,6 +443,26 @@ class TestSplitPairs:
             assert str(raised.value) == (
                 f"share failed in process {forks[0]}: wait status {int(signal.SIGKILL)}")
         self._assert_no_child_left()
+
+
+def test_pipeline_merges_each_pair_once(monkeypatch, tmp_path, capsys):
+    """``pipeline --distance all`` merges each of the m(m - 1)/2 pairs once for
+    the three integral matrices together."""
+    merges = []
+    merge = distances.merge_breakpoints
+
+    def counted(f, g):
+        merges.append((f.source_id, g.source_id))
+        return merge(f, g)
+
+    path = tmp_path / "leaves.json"
+    write_dataset(synth_dataset(2, 3, (50, 400), 0.02, 6), path, fmt="json")
+    monkeypatch.setattr(_shares, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(distances, "merge_breakpoints", counted)
+    assert cli.main(["pipeline", "--input", str(path), "--format", "json", "--distance", "all",
+                     "--no-plots", "--outdir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(merges) == 15 and len(set(merges)) == 15
 
 
 def test_kind_requires_positive_moment_order():
