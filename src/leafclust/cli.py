@@ -274,7 +274,7 @@ def _cluster_stage(opts: Options, dm, out: Path, suffix: str, plot: bool) -> Non
         dataio.write_dendrogram(dend, json_path)
     nwk_path = out / f"dendrogram{suffix}.nwk"
     with _writing(nwk_path):
-        nwk_path.write_text(to_newick(dend) + "\n")
+        dataio.write_text(nwk_path, to_newick(dend) + "\n")
     k = opts.get("cut")
     if k is not None:
         with _stage("cut"):

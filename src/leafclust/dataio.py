@@ -9,8 +9,9 @@ rejects underscores and non-ASCII digits (so does the CSV matrix reader).
 JSON maps each id to its value array and may carry an optional ``groups``
 object with a plant-type label per id (the key ``groups`` is reserved).
 
-Every reader builds its result inside :func:`open_text`, so any error of an
-input file is one ``DataFormatError`` naming the file once.
+Files cross two boundaries, both UTF-8 without newline translation on any locale:
+every writer ends in :func:`write_text`, and every reader builds its result inside
+:func:`open_text`, so any error of an input is one ``DataFormatError`` naming the file.
 
 All writers are deterministic: identical inputs produce byte-identical
 files.  A JSON file is one compact line from Python's C encoder.  Floats are
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
+import itertools
 import json
 import re
 import reprlib
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -41,15 +43,15 @@ class DataFormatError(ValueError):
 
 
 @contextlib.contextmanager
-def open_text(path, what: str, **kwargs):
-    """``open(path, **kwargs)`` to read a ``what`` file: the one read boundary.
+def open_text(path, what: str):
+    """``path``, a ``what`` file, opened as UTF-8 with ``newline=""``: the one read boundary.
 
     What the reader raises inside becomes a ``DataFormatError`` naming ``path``
     once: a format or ``csv`` error, an undecodable byte, invalid JSON (nested
     too deep too), and as a bad ``what`` schema any other KeyError, TypeError,
     ValueError or OverflowError (``float(10**400)`` overflows)."""
     try:
-        with open(path, **kwargs) as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             yield fh
     except (DataFormatError, csv.Error) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
@@ -59,6 +61,12 @@ def open_text(path, what: str, **kwargs):
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: bad {what} schema: {exc}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its line ends as given: the one write boundary."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -92,16 +100,14 @@ class Dataset:
 
 
 def read_dataset(path, fmt: str = "csv") -> Dataset:
-    path = Path(path)
     if fmt == "csv":
         return _read_dataset_csv(path)
     if fmt == "json":
         return _read_dataset_json(path)
-    raise DataFormatError(f"unknown dataset format {fmt!r}")
+    raise DataFormatError(f"{path}: unknown dataset format {fmt!r}")
 
 
 def write_dataset(dataset: Dataset, path, fmt: str = "csv") -> None:
-    path = Path(path)
     if fmt == "csv":
         rows = ((seq.id, [v]) for seq in dataset.sequences for v in seq.values)
         _write_csv(path, ["id", "value"], rows)
@@ -122,8 +128,8 @@ _CSV_RECORDS = dict(delimiter=",", quotechar='"', comments=None, ndmin=1,
 _CSV_CHUNK = 8000
 
 
-def _read_dataset_csv(path: Path) -> Dataset:
-    with open_text(path, "dataset", newline="") as fh:
+def _read_dataset_csv(path) -> Dataset:
+    with open_text(path, "dataset") as fh:
         _skip_csv_header(fh)
         try:
             starts, ids, values = _csv_runs(fh)
@@ -218,15 +224,16 @@ def _sequence(seq_id: str, values) -> CcdSequence:
         raise DataFormatError(str(exc)) from None
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     """``header``, then one record per ``(label, values)`` of ``rows``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([label, *map(_format_length, values)] for label, values in rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([label, *map(_format_length, values)] for label, values in rows)
+    write_text(path, text.getvalue())
 
 
-def _read_dataset_json(path: Path) -> Dataset:
+def _read_dataset_json(path) -> Dataset:
     def build(doc) -> Dataset:
         if not isinstance(doc, dict):
             raise DataFormatError("expected a JSON object")
@@ -239,7 +246,7 @@ def _read_dataset_json(path: Path) -> Dataset:
     return _read_json(path, "dataset", build)
 
 
-def _write_dataset_json(dataset: Dataset, path: Path) -> None:
+def _write_dataset_json(dataset: Dataset, path) -> None:
     if "groups" in dataset.ids:
         raise DataFormatError("id 'groups' clashes with the reserved JSON key")
     doc: dict = {seq.id: seq.values.tolist() for seq in dataset.sequences}
@@ -248,7 +255,7 @@ def _write_dataset_json(dataset: Dataset, path: Path) -> None:
     _dump_json(doc, path)
 
 
-def _read_json(path: Path, what: str, build):
+def _read_json(path, what: str, build):
     """``build(doc)`` of the JSON document in ``path``, inside :func:`open_text`."""
     with open_text(path, what) as fh:
         return build(json.load(fh, object_pairs_hook=_unique_keys))
@@ -273,10 +280,9 @@ def _is_string(value) -> bool:
     return type(value) is str
 
 
-def _dump_json(doc, path: Path) -> None:
+def _dump_json(doc, path) -> None:
     # No indent: json.dumps runs its C encoder only without one.
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
@@ -297,7 +303,10 @@ def _json_field(record, key: str, expect: str):
                 array = np.array(value)
             except ValueError:  # nested lists of unequal length
                 array = np.array(None)
-            if array.dtype.kind in "iuf":
+            cells = value
+            for _ in range(array.ndim - 1):  # np.array reads [true, 2] as [1, 2]
+                cells = itertools.chain.from_iterable(cells)
+            if array.dtype.kind in "iuf" and bool not in set(map(type, cells)):
                 return array
         elif expect not in (_LABELS, _GROUPS) or all(
                 map(_is_string, value.values() if expect == _GROUPS else value)):
@@ -311,14 +320,14 @@ def _json_field(record, key: str, expect: str):
 
 def write_matrix(dm: DistanceMatrix, path, fmt: str = "csv") -> None:
     if fmt == "csv":
-        _write_csv(Path(path), ["", *dm.labels], zip(dm.labels, dm.entries))
+        _write_csv(path, ["", *dm.labels], zip(dm.labels, dm.entries))
     elif fmt == "json":
         doc = {
             "labels": list(dm.labels),
             "kind": {"tag": dm.kind.name, "moment_order": dm.kind.moment_order},
             "entries": dm.entries.tolist(),
         }
-        _dump_json(doc, Path(path))
+        _dump_json(doc, path)
     else:
         raise DataFormatError(f"unknown matrix format {fmt!r}")
 
@@ -329,9 +338,8 @@ def read_matrix(path, fmt: str = "csv", kind: DistanceKind | None = None) -> Dis
     CSV files do not carry the distance kind, so ``kind`` may be supplied;
     it defaults to L1.
     """
-    path = Path(path)
     if fmt == "csv":
-        with open_text(path, "matrix", newline="") as fh:
+        with open_text(path, "matrix") as fh:
             rows = list(csv.reader(fh))
             if not rows or rows[0][:1] != [""]:
                 raise DataFormatError("not a labeled square matrix CSV")
@@ -354,7 +362,7 @@ def read_matrix(path, fmt: str = "csv", kind: DistanceKind | None = None) -> Dis
             return DistanceMatrix(_json_field(doc, "labels", _LABELS),
                                   _json_field(doc, "entries", _NUMBERS), kind or file_kind)
         return _read_json(path, "matrix", build)
-    raise DataFormatError(f"unknown matrix format {fmt!r}")
+    raise DataFormatError(f"{path}: unknown matrix format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +377,7 @@ def write_dendrogram(dend: Dendrogram, path) -> None:
             for mg in dend.merges
         ],
     }
-    _dump_json(doc, Path(path))
+    _dump_json(doc, path)
 
 
 def read_dendrogram(path) -> Dendrogram:
@@ -381,7 +389,7 @@ def read_dendrogram(path) -> Dendrogram:
             for r in doc["merges"]
         )
         return Dendrogram(_json_field(doc, "labels", _LABELS), merges)
-    return _read_json(Path(path), "dendrogram", build)
+    return _read_json(path, "dendrogram", build)
 
 
 def write_clusters(labels, assignment, k: int, path) -> None:
@@ -390,7 +398,7 @@ def write_clusters(labels, assignment, k: int, path) -> None:
         "k": int(k),
         "assignment": {str(label): int(c) for label, c in zip(labels, assignment)},
     }
-    _dump_json(doc, Path(path))
+    _dump_json(doc, path)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +421,7 @@ def write_densities(densities, path) -> None:
             for d in densities
         }
     }
-    _dump_json(doc, Path(path))
+    _dump_json(doc, path)
 
 
 def read_densities(path) -> list[StepDensity]:
@@ -428,4 +436,4 @@ def read_densities(path) -> list[StepDensity]:
             )
             for seq_id, rec in _json_field(doc, "densities", "an object").items()
         ]
-    return _read_json(Path(path), "densities", build)
+    return _read_json(path, "densities", build)

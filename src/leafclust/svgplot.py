@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
+from .dataio import write_text
 from .density import TWO_PI, LeafOutline, StepDensity
 from .hcluster import Dendrogram, _format_length as _num, _layout, leaf_order
 
@@ -50,7 +50,7 @@ _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkey
 
 
 class SvgCanvas:
-    """Collects SVG elements and writes a standalone document."""
+    """Collects SVG elements and renders a standalone document."""
 
     def __init__(self, width: float, height: float):
         self.width = width
@@ -106,9 +106,6 @@ class SvgCanvas:
             f'viewBox="0 0 {_num(self.width)} {_num(self.height)}">\n'
         )
         return head + "\n".join(self.elements) + "\n</svg>\n"
-
-    def write(self, path) -> None:
-        Path(path).write_text(self.render(), encoding="utf-8")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -192,7 +189,7 @@ def plot_densities(densities, path, groups: dict[str, str] | None = None,
                     stroke=stroke, width=1.6, dash=dash)
         canvas.text(ml + pw - 80, ly + 8, key, size=10)
         ly += 15.0
-    canvas.write(path)
+    write_text(path, canvas.render())
 
 
 def plot_leaves(outlines, path) -> None:
@@ -220,7 +217,7 @@ def plot_leaves(outlines, path) -> None:
                      oy + cell / 2 - (pts[:, 1] - cy) * scale,
                      stroke="#2a6f4e", width=1.0, fill="#eaf4ee")
         canvas.text(ox + cell / 2, oy - 4, outline.id, anchor="middle", size=10)
-    canvas.write(path)
+    write_text(path, canvas.render())
 
 
 def plot_dendrogram(dend: Dendrogram, path, title: str = "") -> None:
@@ -274,4 +271,4 @@ def plot_dendrogram(dend: Dendrogram, path, title: str = "") -> None:
                     extra=f' transform="rotate(-45 {_num(lx)} {_num(ly)})"')
     if title:
         canvas.text(ml + pw / 2, 18, title, anchor="middle", size=13)
-    canvas.write(path)
+    write_text(path, canvas.render())

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import errno
 import io
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
@@ -376,6 +378,13 @@ def _nan_breakpoint(path):
     path.write_text(json.dumps(doc))
 
 
+def _true_breakpoint(path):
+    """Densities ``a`` and ``b`` whose ``a`` has the breakpoint ``true``."""
+    step = {"heights": [0.1, 0.2, 0.3], "rotation": 0.0, "direction_defined": True}
+    path.write_text(json.dumps({"densities": {"a": {"breakpoints": [1, True, 6], **step},
+                                              "b": {"breakpoints": [1, 2, 6], **step}}}))
+
+
 _NOT_UTF8 = "cannot decode as utf-8: invalid start byte"
 # JSON nested too deep for the decoder, and an integer with more digits than
 # int() converts by default: their messages come from the Python version's json.
@@ -504,6 +513,41 @@ _NAMED_INPUT_ERRORS = {
     "list_kind_tag.json": (
         "cluster --format json", lambda p: p.write_text(_matrix_json([0] * 20_000)),
         "read-matrix", "bad matrix schema: [0, 0, 0, 0, 0, 0, ...] is not a valid DistanceTag"),
+    # true and false are no numbers, though np.array reads them as 1 and 0.
+    "true_value.json": (
+        "densify --format json",
+        lambda p: p.write_text('{"a": [true, 2.5, 3], "b": [1, 2, 2]}'),
+        "read-dataset", "bad dataset schema: 'a' must be an array of numbers, got [True, 2.5, 3]"),
+    "true_breakpoint.densities.json": (
+        "distmat --format densities", _true_breakpoint, "read-densities",
+        "bad densities schema: 'breakpoints' must be an array of numbers, got [1, True, 6]"),
+    "true_entry.json": (
+        "cluster --format json",
+        lambda p: p.write_text(_matrix_json("l1").replace("[[0, 1]", "[[0, true]")),
+        "read-matrix",
+        "bad matrix schema: 'entries' must be an array of numbers, got [[0, True], [1, 0]]"),
+    "empty.csv": ("densify --format csv", lambda p: p.write_text(""),
+                  "read-dataset", "empty file"),
+    # Blank records count in the row numbers of the row-by-row scan.
+    "blank_then_negative.csv": ("densify --format csv",
+                                lambda p: p.write_text("id,value\na,1\n\na,-2\n"),
+                                "read-dataset", "row 4: negative CCD value for id 'a'"),
+    "ragged.json": (
+        "densify --format json", lambda p: p.write_text('{"a": [[1, 2], [3]]}'),
+        "read-dataset", "bad dataset schema: 'a' must be an array of numbers, got [[1, 2], [3]]"),
+    "missing_row_matrix.csv": ("cluster --format csv", lambda p: p.write_text(",a,b\na,0,1\n"),
+                               "read-matrix", "expected 2 data rows"),
+    "row_out_of_order_matrix.csv": (
+        "cluster --format csv", lambda p: p.write_text(",a,b\nb,1,0\na,0,1\n"),
+        "read-matrix", "malformed row 2"),
+    # --format densities is a choice of every subcommand but only distmat reads densities.
+    "matrix.densities.json": ("cluster --format densities",
+                              lambda p: p.write_text(_matrix_json("l1")),
+                              "read-matrix", "unknown matrix format 'densities'"),
+    "dataset.densities.json": (
+        "densify --format densities",
+        lambda p: write_densities([normalize_leaf(CcdSequence("a", [1.0, 2.0, 4.0]))], p),
+        "read-dataset", "unknown dataset format 'densities'"),
 }
 
 
@@ -828,6 +872,55 @@ def test_config_file_not_utf8_names_the_file(four_leaf_json, tmp_path, capsys):
                  "--config", str(config), "--outdir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"leafclust: error [config] {config}: {_NOT_UTF8}\n"
     assert not (tmp_path / "out").exists()
+
+
+# The environment of a run in each mode: Python's UTF-8 mode, or the C locale,
+# whose encoding is ASCII, with UTF-8 mode off.
+_LOCALES = {"utf8": {"PYTHONUTF8": "1"}, "c": {"LC_ALL": "C", "PYTHONUTF8": "0"}}
+
+
+def _run_cli_in(mode, cwd, *argv):
+    """Run the CLI as a fresh process in locale mode ``mode``; its stderr if it fails."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, **_LOCALES[mode])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "leafclust.cli", *argv], cwd=cwd, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    return done.returncode, done.stderr.decode(errors="replace")
+
+
+def test_every_file_is_utf8_whatever_the_locale(tmp_path):
+    """Non-ASCII ids, group names and a config comment read and write under
+    the C locale, and every artifact equals the UTF-8 mode run's byte for byte."""
+    rng = np.random.default_rng(29)
+    ids = ["葉.1", "葉.2", "feuille-é", "hoja-ñ"]
+    doc = {i: helpers.directional_ccd(rng, (30, 60), i).values.tolist() for i in ids}
+    doc["groups"] = dict(zip(ids, ["広葉", "広葉", "érable", "érable"]))
+    (tmp_path / "leaves.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    (tmp_path / "run.cfg").write_bytes("# réglages du 葉\nlinkage = average\ncut = 2\n".encode())
+    runs = ("pipeline --input leaves.json --format json --distance all --cut 2 --outdir {}/all",
+            "densify --input leaves.json --format json --outdir {}/staged",
+            "distmat --input {}/staged/densities.json --format densities --outdir {}/staged",
+            "cluster --input {}/staged/matrix_l1.csv --format csv --config run.cfg"
+            " --outdir {}/staged")
+    for mode in _LOCALES:
+        for line in runs:
+            argv = line.replace("{}", mode).split()
+            assert _run_cli_in(mode, tmp_path, *argv) == (0, ""), (mode, argv)
+    files = sorted(p.relative_to(tmp_path / "utf8")
+                   for p in (tmp_path / "utf8").rglob("*") if p.is_file())
+    assert len(files) == 28 + 12
+    assert files == sorted(p.relative_to(tmp_path / "c")
+                           for p in (tmp_path / "c").rglob("*") if p.is_file())
+    for name in files:
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+    assert "葉.1,0,".encode() in (tmp_path / "c" / "all" / "matrix_l1.csv").read_bytes()
+    assert "érable".encode() in (tmp_path / "c" / "all" / "densities_normalized.svg").read_bytes()
+    # The C locale's own encoding cannot hold these ids: the test shows the boundary at work.
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=dict(os.environ, **_LOCALES["c"]), capture_output=True, text=True).stdout.strip()
+    assert codecs.lookup(encoding).name != "utf-8"
 
 
 def test_one_leaf_densifies_and_plots(tmp_path):

@@ -1,6 +1,8 @@
+import ast
 import json
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -583,3 +585,41 @@ def test_json_document_of_the_wrong_shape(case, tmp_path):
         with pytest.raises(DataFormatError) as err:
             read(path)
         assert str(err.value) == f"{path}: {message}"
+
+
+# Calls that open a file, or read or write one whole (as Path methods do).
+_FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_calls(path):
+    """(innermost function, source) of each call in ``path`` named in _FILE_CALLS."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) in _FILE_CALLS:
+                    found.append((where, ast.unparse(child)))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_every_file_crosses_the_dataio_boundary():
+    """Only open_text and write_text open a file, as UTF-8 without newline
+    translation (so every line written ends in "\\n" on Windows too), and
+    every other write calls write_text.  The one exception is the null
+    device that cli._writing points stdout at."""
+    calls = [(path.name, where, source) for path in Path(dataio.__file__).parent.glob("*.py")
+             for where, source in _file_calls(path)]
+    assert {call for call in calls if call[2].startswith("open(")} == {
+        ("dataio.py", "open_text", "open(path, encoding='utf-8', newline='')"),
+        ("dataio.py", "write_text", "open(path, 'w', encoding='utf-8', newline='')")}
+    writes = {name for name, _, source in calls
+              if source.startswith(("write_text(", "dataio.write_text("))}
+    assert writes == {"cli.py", "dataio.py", "svgplot.py"}
+    assert [call for call in calls if not call[2].startswith(
+        ("open(", "write_text(", "dataio.write_text("))] == [
+        ("cli.py", "_writing", "os.open(os.devnull, os.O_WRONLY)")]
