@@ -77,12 +77,14 @@ class StageError(Exception):
 
 
 @contextmanager
-def _stage(name: str):
-    """Report an OSError or ValueError raised inside as a failure of stage ``name``."""
+def _stage(name: str, path=None):
+    """Report an OSError or ValueError raised inside as a failure of stage ``name``,
+    led by ``path`` if given and the error names no file (an OSError may)."""
     try:
         yield
     except (OSError, ValueError) as exc:
-        raise StageError(name, str(exc)) from exc
+        named = path is None or getattr(exc, "filename", None) is not None
+        raise StageError(name, str(exc) if named else f"{path}: {exc}") from exc
 
 
 def _read_config(path: str) -> dict:
@@ -118,6 +120,8 @@ _BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False,
 def _config_value(key: str, text: str):
     """``text`` converted and checked by the ``type``/``choices`` of option ``key``."""
     spec, shown = _OPTIONS[key][1], reprlib.repr(text)
+    if not spec.keys() & {"type", "choices", "action"}:  # a path: its bytes decoded as argv's
+        return os.fsdecode(text.encode())
     if spec.get("action") == "store_const":
         if text.lower() not in _BOOLEANS:
             raise ValueError(f"{key}: expected true or false, got {shown}")
@@ -172,7 +176,7 @@ def _normalize_all(dataset: dataio.Dataset):
 
 def _outdir(opts: Options) -> Path:
     out = Path(opts.get("outdir"))
-    with _stage("write"):
+    with _stage("write", path=out):
         out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -185,7 +189,7 @@ def _writing(path: Path):
     broken pipe stdout points at the null device, so later lines and the
     flush at exit go nowhere instead of failing.
     """
-    with _stage("write"):
+    with _stage("write", path=path):
         yield
     try:
         print(f"wrote {path}", flush=True)

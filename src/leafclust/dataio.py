@@ -49,9 +49,14 @@ def open_text(path, what: str):
     What the reader raises inside becomes a ``DataFormatError`` naming ``path``
     once: a format or ``csv`` error, an undecodable byte, invalid JSON (nested
     too deep too), and as a bad ``what`` schema any other KeyError, TypeError,
-    ValueError or OverflowError (``float(10**400)`` overflows)."""
+    ValueError or OverflowError (``float(10**400)`` overflows).  ``open``'s own
+    ValueError (a NUL byte in ``path``) becomes ``cannot open``."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        fh = open(path, encoding="utf-8", newline="")
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: cannot open: {exc}") from None
+    try:
+        with fh:
             yield fh
     except (DataFormatError, csv.Error) as exc:
         raise DataFormatError(f"{path}: {exc}") from None

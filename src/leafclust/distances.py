@@ -8,10 +8,10 @@ vectors, computed once per density.  One kernel per pass (``_kernel``)
 gives the items a pair compares and the row of distances between two of
 them, for a single pair and for a matrix alike; the integral kinds of a
 pass share one merge per pair.  ``Pairs`` holds a run's densities and
-computes every integral kind it was built for in one such pass, the first
-time ``distance_matrix`` asks for one of them.  A grid-based approximation
-exists only as a cross-check in the test suite.  ``_shares.in_shares``
-splits a pass's pairs across processes.
+computes all the integral kinds it was built for in one such pass; any
+other kind is a pass of its own.  A grid-based approximation exists only
+as a cross-check in the test suite.  ``_shares.in_shares`` splits a pass's
+pairs across processes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -118,28 +117,12 @@ def merge_breakpoints(f: StepDensity, g: StepDensity):
     return np.append(merged[left], merged[-1]), f.heights[f_count - 1], g.heights[left - f_count]
 
 
-class _Refinement:
-    """The common refinement of two densities (``merge_breakpoints``), with the
-    interval widths and height gaps that several reducers read, each computed
-    once, when first read."""
-
-    def __init__(self, f: StepDensity, g: StepDensity):
-        self.breaks, self.fh, self.gh = merge_breakpoints(f, g)
-
-    @cached_property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breaks)
-
-    @cached_property
-    def gaps(self) -> np.ndarray:
-        return np.abs(self.fh - self.gh)
-
-
-# Reducers of the common refinement, one per integral distance.
+# Reducers of one merge's (widths, gaps = |fh - gh|, fh, gh), one per integral distance.
 _REDUCERS = {
-    DistanceTag.L1: lambda r: np.sum(r.gaps * r.widths),
-    DistanceTag.SUP: lambda r: np.max(r.gaps),
-    DistanceTag.HELLINGER_SQ: lambda r: np.sum((np.sqrt(r.fh) - np.sqrt(r.gh)) ** 2 * r.widths),
+    DistanceTag.L1: lambda widths, gaps, fh, gh: np.sum(gaps * widths),
+    DistanceTag.SUP: lambda widths, gaps, fh, gh: np.max(gaps),
+    DistanceTag.HELLINGER_SQ:
+        lambda widths, gaps, fh, gh: np.sum((np.sqrt(fh) - np.sqrt(gh)) ** 2 * widths),
 }
 
 
@@ -178,7 +161,8 @@ def _kernel(densities, kinds):
     or one ``moments`` kind: the items a pair compares (the densities, or
     their moment vectors), their total size (intervals or vector entries) and
     the distances between two items, one per kind.  The integral kinds share
-    one merge per pair."""
+    one merge per pair.  A ``Pairs`` table runs one pass for all the integral
+    kinds it was built for, and one for each other kind it is asked."""
     if kinds[0].tag is DistanceTag.MOMENT_EUCLIDEAN:
         (kind,) = kinds
         items = [trig_moments(d, kind.moment_order).as_vector() for d in densities]
@@ -186,8 +170,9 @@ def _kernel(densities, kinds):
     reducers = [_REDUCERS[kind.tag] for kind in kinds]
 
     def row(f, g):
-        refinement = _Refinement(f, g)
-        return [float(reduce(refinement)) for reduce in reducers]
+        breaks, fh, gh = merge_breakpoints(f, g)
+        widths, gaps = np.diff(breaks), np.abs(fh - gh)
+        return [float(reduce(widths, gaps, fh, gh)) for reduce in reducers]
 
     items = list(densities)
     return items, sum(d.n_intervals for d in items), row
@@ -199,32 +184,28 @@ def pair_distance(f: StepDensity, g: StepDensity, kind: DistanceKind) -> float:
     return row(u, v)[0]
 
 
-def _column(kind: DistanceKind):
-    """A kind's column in ``Pairs``: its tag, or for ``moments`` the kind itself (with r)."""
-    return kind if kind.tag is DistanceTag.MOMENT_EUCLIDEAN else kind.tag
-
-
 class Pairs:
     """A run's densities and their distances over every unordered pair.
 
-    A kind's values are computed the first time they are asked for.  The
-    first integral kind asked computes every integral kind of ``kinds`` in
-    the same pass, from one ``merge_breakpoints`` per pair, and the others
-    then read their column; a ``moments`` kind, or a kind not in ``kinds``,
-    is a pass of its own.
+    The table answers the kinds it was built for, each computed the first
+    time it is asked for: the first of its integral kinds asked computes all
+    of them in one pass, from one ``merge_breakpoints`` per pair, and the
+    others then read their column.  Any other kind, ``moments`` or a kind
+    not in ``kinds`` (as ``DistanceKind`` equality decides, so an integral
+    kind with another moment order too), is a pass of its own.
     """
 
     def __init__(self, densities, kinds):
         self.densities = list(densities)
         self.upper = np.triu_indices(len(self.densities), 1)
-        self._integral = {k.tag: k for k in kinds if k.tag in _REDUCERS}
+        self.kinds = list(kinds)
         self._columns: dict = {}
 
     def values(self, kind: DistanceKind) -> np.ndarray:
         """``kind``'s distances over the pairs ``self.upper`` lists, in order."""
-        column = _column(kind)
-        if column not in self._columns:
-            kinds = list(self._integral.values()) if column in self._integral else [kind]
+        if kind not in self._columns:
+            integral = [k for k in self.kinds if k.tag in _REDUCERS]
+            kinds = integral if kind in integral else [kind]
             items, size, row = _kernel(self.densities, kinds)
             iu, ku = self.upper
 
@@ -234,8 +215,8 @@ class Pairs:
 
             # Merged points over all pairs: each item takes part in m - 1 merges.
             table = in_shares(iu.size, (len(items) - 1) * size, values_of, len(kinds))
-            self._columns.update(zip(map(_column, kinds), table.T))
-        return self._columns[column]
+            self._columns.update(zip(kinds, table.T))
+        return self._columns[kind]
 
 
 def distance_matrix(densities, labels, kind: DistanceKind) -> DistanceMatrix:

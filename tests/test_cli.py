@@ -185,14 +185,15 @@ def _fail(*args, **kwargs):
     raise InvalidCcdError("injected failure")
 
 
-def _case(stage, code, argv, broken=None, name=None, config=None):
+def _case(stage, code, argv, broken=None, name=None, config=None, says=""):
     """One CLI run that must fail in ``stage`` with exit ``code``.
 
     ``argv`` has {d} for the data directory; ``broken`` names a function the
     CLI calls that is replaced by one raising InvalidCcdError; ``config`` is
-    the text of {d}/run.cfg.
+    the text of {d}/run.cfg; ``says`` is how the error line goes on after
+    the stage.
     """
-    return pytest.param(stage, code, argv, broken, config, id=name or stage)
+    return pytest.param(stage, code, argv, broken, config, says, id=name or stage)
 
 
 def _config_case(line, command="pipeline"):
@@ -286,12 +287,23 @@ EXIT_CODES = [
                       "--output {d}/missing/s.json", name="write-output"),
     _case("write", 1, "densify --input {d}/four.json --format json --outdir {d}/four.json",
           name="write-outdir"),
+    # A config-file path with a NUL byte, which argv cannot carry: the error
+    # names the path, and the file was never opened, so no schema is blamed.
+    _case("read-dataset", 1, "densify --format json --config {d}/run.cfg --outdir {d}/out",
+          name="read-dataset-config-nul-input", config="input = a\0b.json",
+          says="a\\x00b.json: cannot open: embedded null byte"),
+    _case("write", 1, "densify --input {d}/four.json --format json --config {d}/run.cfg",
+          name="write-config-nul-outdir", config="outdir = d\0x",
+          says="d\\x00x: embedded null byte"),
+    _case("write", 1, "synth --groups 2 --per-group 2 --n-min 30 --n-max 50 "
+                      "--config {d}/run.cfg", name="write-config-nul-output",
+          config="output = s\0.json", says="s\\x00.json: embedded null byte"),
 ]
 
 
-@pytest.mark.parametrize("stage,code,argv,broken,config", EXIT_CODES)
-def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, four_leaf_json,
-                                          monkeypatch, capsys):
+@pytest.mark.parametrize("stage,code,argv,broken,config,says", EXIT_CODES)
+def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, says,
+                                          four_leaf_json, monkeypatch, capsys):
     d = four_leaf_json.parent
     _write_one_leaf_inputs(d)
     _write_long_field_inputs(d)
@@ -303,7 +315,7 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, fou
         (d / "run.cfg").write_text(config + "\n")
     before = sorted(d.rglob("*"))
     assert main(argv.format(d=d).split()) == code
-    assert f"leafclust: error [{stage}] " in capsys.readouterr().err
+    assert f"leafclust: error [{stage}] {says}" in capsys.readouterr().err
     if stage in ("config", "write", "read-dataset", "read-densities", "read-matrix",
                  "read-dendrogram"):
         assert sorted(d.rglob("*")) == before
@@ -891,25 +903,33 @@ def _run_cli_in(mode, cwd, *argv):
 
 def test_every_file_is_utf8_whatever_the_locale(tmp_path):
     """Non-ASCII ids, group names and a config comment read and write under
-    the C locale, and every artifact equals the UTF-8 mode run's byte for byte."""
+    the C locale, and every artifact equals the UTF-8 mode run's byte for byte.
+    Non-ASCII paths in a config file name the same files as the same paths as flags."""
     rng = np.random.default_rng(29)
     ids = ["葉.1", "葉.2", "feuille-é", "hoja-ñ"]
     doc = {i: helpers.directional_ccd(rng, (30, 60), i).values.tolist() for i in ids}
     doc["groups"] = dict(zip(ids, ["広葉", "広葉", "érable", "érable"]))
-    (tmp_path / "leaves.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    for name in ("leaves.json", "葉.json"):
+        (tmp_path / name).write_bytes(json.dumps(doc, ensure_ascii=False).encode())
     (tmp_path / "run.cfg").write_bytes("# réglages du 葉\nlinkage = average\ncut = 2\n".encode())
+    for mode in _LOCALES:
+        cfg = f"input = 葉.json\noutdir = {mode}/葉out\n"
+        (tmp_path / f"{mode}.cfg").write_bytes(cfg.encode())
     runs = ("pipeline --input leaves.json --format json --distance all --cut 2 --outdir {}/all",
             "densify --input leaves.json --format json --outdir {}/staged",
             "distmat --input {}/staged/densities.json --format densities --outdir {}/staged",
             "cluster --input {}/staged/matrix_l1.csv --format csv --config run.cfg"
-            " --outdir {}/staged")
+            " --outdir {}/staged",
+            "densify --format json --config {}.cfg")
     for mode in _LOCALES:
         for line in runs:
             argv = line.replace("{}", mode).split()
             assert _run_cli_in(mode, tmp_path, *argv) == (0, ""), (mode, argv)
+        assert ((tmp_path / mode / "葉out" / "densities.json").read_bytes()
+                == (tmp_path / mode / "staged" / "densities.json").read_bytes())
     files = sorted(p.relative_to(tmp_path / "utf8")
                    for p in (tmp_path / "utf8").rglob("*") if p.is_file())
-    assert len(files) == 28 + 12
+    assert len(files) == 28 + 12 + 1
     assert files == sorted(p.relative_to(tmp_path / "c")
                            for p in (tmp_path / "c").rglob("*") if p.is_file())
     for name in files:

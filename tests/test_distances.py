@@ -392,17 +392,22 @@ class TestSplitPairs:
                              ids="+".join)
     def test_table_equals_one_share_one_kind(self, monkeypatch, tags, shares):
         """A ``Pairs`` table computes its integral kinds in one pass, split
-        into ``shares``, and each matrix is the one-share, one-kind matrix."""
+        into ``shares``, and each matrix is the one-share, one-kind matrix.
+        A kind the table does not hold, as ``DistanceKind`` equality decides
+        (another tag, or another moment order), is a pass of its own."""
         densities = [normalize_leaf(seq)
                      for seq in synth_dataset(1, 7, (50, 400), 0.02, 7).sequences]
         labels = [d.source_id for d in densities]
         kinds = [DistanceKind(tag) for tag in tags]
-        whole = [distance_matrix(densities, labels, kind).entries for kind in kinds]
+        other = DistanceKind("sup", 7) if "l1" in tags else DistanceKind("l1")
+        whole = [distance_matrix(densities, labels, kind).entries for kind in [*kinds, other]]
         forks = self._split(monkeypatch, cpus=shares)
         pairs = distances.Pairs(densities, kinds)
         for kind, one in zip(kinds, whole):
             assert distance_matrix(pairs, labels, kind).entries.tobytes() == one.tobytes()
         assert len(forks) == shares - 1  # one pass for every kind of the table
+        dm = distance_matrix(pairs, labels, other)
+        assert dm.kind == other and dm.entries.tobytes() == whole[-1].tobytes()
         self._assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["child", "parent", "killed", "interrupt"])
