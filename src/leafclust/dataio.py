@@ -37,6 +37,10 @@ from .density import CcdSequence, StepDensity
 from .distances import DistanceKind, DistanceMatrix
 from .hcluster import Dendrogram, Merge, _format_length
 
+__all__ = ["Dataset", "DataFormatError", "read_dataset", "write_dataset", "read_matrix",
+           "write_matrix", "read_dendrogram", "write_dendrogram", "read_densities",
+           "write_densities"]
+
 
 class DataFormatError(ValueError):
     """Raised when an input file cannot be parsed or violates its schema."""

@@ -15,6 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+__all__ = ["TWO_PI", "CcdSequence", "StepDensity", "TrigMoments", "MeanDirection", "LeafOutline",
+           "InvalidCcdError", "density_from_ccd", "trig_moments", "mean_direction",
+           "rotate_density", "normalize_leaf", "leaf_outline"]
+
 TWO_PI = 2.0 * math.pi
 
 # Resultant lengths at or below this are treated as zero: the density is

@@ -25,6 +25,10 @@ import numpy as np
 from ._shares import in_shares
 from .density import StepDensity, _echo, _frozen_array, trig_moments
 
+__all__ = ["DistanceTag", "DistanceKind", "DistanceMatrix", "dist_l1", "dist_sup",
+           "dist_hellinger_sq", "dist_moment_euclidean", "pair_distance", "merge_breakpoints",
+           "distance_matrix", "Pairs"]
+
 
 class DistanceTag(str, Enum):
     L1 = "l1"

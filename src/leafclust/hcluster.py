@@ -31,6 +31,8 @@ import numpy as np
 from .density import _echo
 from .distances import DistanceMatrix
 
+__all__ = ["Linkage", "Merge", "Dendrogram", "agglomerate", "cut", "leaf_order", "to_newick"]
+
 
 class Linkage(str, Enum):
     COMPLETE = "complete"
@@ -227,10 +229,13 @@ def to_newick(dend: Dendrogram) -> str:
     return texts[2 * m - 2] + ";"
 
 
-_NEWICK_UNSAFE = set("():;,[]' \t\n")
+_NEWICK_UNSAFE = set("():;,[]' ")
 
 
 def _escape_label(label: str) -> str:
-    if not label or set(label) & _NEWICK_UNSAFE:
+    """Quote a label that is empty, holds Newick punctuation or a space, or
+    holds a character ``str.isprintable`` rejects: every other blank (tab,
+    line breaks, U+00A0, ...) and every control or format character."""
+    if not label or not label.isprintable() or set(label) & _NEWICK_UNSAFE:
         return "'" + label.replace("'", "''") + "'"
     return label

@@ -30,6 +30,8 @@ from .dataio import write_text
 from .density import TWO_PI, LeafOutline, StepDensity
 from .hcluster import Dendrogram, _format_length as _num, _layout, leaf_order
 
+__all__ = ["plot_densities", "plot_leaves", "plot_dendrogram"]
+
 PALETTE = (
     "#1b6ca8", "#d1495b", "#66a182", "#edae49",
     "#775bb5", "#00798c", "#c17fb8", "#3a3a3a",

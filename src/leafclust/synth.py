@@ -19,6 +19,8 @@ import numpy as np
 from .dataio import Dataset
 from .density import TWO_PI, CcdSequence
 
+__all__ = ["ShapeTemplate", "sample_trace", "synth_dataset"]
+
 
 @dataclass(frozen=True)
 class ShapeTemplate:

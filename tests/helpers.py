@@ -264,21 +264,26 @@ def brute_force_agglomerate(matrix, linkage: str):
 def agglomerate_blockwise(matrix: np.ndarray, linkage: str):
     """The earlier library clustering, kept as an exact oracle.
 
-    Recomputes every active pair's linkage from its ``np.ix_`` block of the
-    original matrix at every step.  Returns merge tuples like
-    ``brute_force_agglomerate``; complete and single heights are matrix
-    entries, so the library's must equal them bit for bit.
+    Takes every active pair's linkage from its ``np.ix_`` block of the
+    original matrix.  A pair's block changes only when one of its two
+    clusters is new, and node ids are never reused, so each pair's block is
+    reduced once and kept for as long as both clusters are active.  Returns
+    merge tuples like ``brute_force_agglomerate``; complete and single
+    heights are matrix entries, so the library's must equal them bit for bit.
     """
     reduce = {"complete": np.max, "single": np.min, "average": np.mean}[linkage]
     m = matrix.shape[0]
     active = {i: np.array([i]) for i in range(m)}
+    heights = {}
     merges = []
     for step in range(m - 1):
         ids = sorted(active)
         best = None
         for a_pos, a in enumerate(ids):
             for b in ids[a_pos + 1:]:
-                cand = (float(reduce(matrix[np.ix_(active[a], active[b])])), a, b)
+                if (a, b) not in heights:
+                    heights[a, b] = float(reduce(matrix[np.ix_(active[a], active[b])]))
+                cand = (heights[a, b], a, b)
                 if best is None or cand < best:
                     best = cand
         height, a, b = best

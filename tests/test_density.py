@@ -99,6 +99,24 @@ class TestDensityFromCcd:
                                    normalize_leaf(CcdSequence("x", np.array(like))).heights,
                                    rtol=1e-15, atol=0)
 
+    def test_reversed_trace_gives_the_mirror_density(self):
+        # A trace read the other way round is the reflection t -> 2pi - t:
+        # the same grid and the heights in reverse order.  Only the mean is
+        # summed in another order.  Any order sums n nonnegative terms to
+        # within (n - 1) u relative (u = 2**-53; Higham, "Accuracy and
+        # Stability of Numerical Algorithms", 2002, section 4.2), and the
+        # division by n, the product with 2pi and each height's quotient
+        # round once more, so a height and its mirror differ by at most
+        # 2 (n + 2) u relative to first order; 2 u more covers the rest.
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            seq = helpers.random_ccd(rng)
+            d = density_from_ccd(seq)
+            mirror = density_from_ccd(CcdSequence(seq.id, seq.values[::-1]))
+            np.testing.assert_array_equal(mirror.breakpoints, d.breakpoints)
+            np.testing.assert_allclose(mirror.heights, d.heights[::-1],
+                                       rtol=2 * (len(seq) + 3) * 2.0**-53, atol=0)
+
 
 class TestStepDensityValidation:
     def test_rejects_bad_mass(self):

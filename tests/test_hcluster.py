@@ -395,13 +395,19 @@ class TestNewick:
                 assert leaves in heights
                 assert heights[leaves] == pytest.approx(mg.height, abs=1e-9)
 
-    def test_label_quoting(self):
-        dm = matrix_from([[0.0, 1.0], [1.0, 0.0]], labels=("a b", "c:d"))
+    # Newick forbids blanks in an unquoted label, so a label holding any
+    # blank, not only the ASCII space, or another non-printable character is
+    # quoted.
+    @pytest.mark.parametrize("label", ["c:d", "c\rd", "c\x0bd", "c\x0cd", "c\x85d", "c\xa0d",
+                                       "c\u2028d"],
+                             ids=["colon", "cr", "vt", "ff", "nel", "nbsp", "line-separator"])
+    def test_label_quoting(self, label):
+        dm = matrix_from([[0.0, 1.0], [1.0, 0.0]], labels=("a b", label))
         text = to_newick(agglomerate(dm, Linkage.COMPLETE))
-        assert "'a b'" in text and "'c:d'" in text
+        assert "'a b'" in text and f"'{label}'" in text
         tree = helpers.parse_newick(text)
         _, root_leaves = helpers.newick_node_heights(tree)
-        assert root_leaves == {"a b", "c:d"}
+        assert root_leaves == {"a b", label}
 
     def test_deep_chain_serializes(self):
         # Each merge adds one leaf to the previous cluster: 1,199 levels,
