@@ -26,6 +26,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
 import reprlib
 import warnings
@@ -142,13 +143,11 @@ def _read_dataset_csv(path) -> Dataset:
         _skip_csv_header(fh)
         try:
             starts, ids, values = _csv_runs(fh)
-        except ValueError as exc:
+            blocks = np.split(values, starts[1:])
+            return Dataset(tuple(CcdSequence(i, v) for i, v in zip(ids, blocks)))
+        except ValueError as exc:  # the tokenizer's, a trace's or the dataset's
             _raise_first_bad_record(fh)
             raise DataFormatError(str(exc)) from None
-        if len(set(ids)) < len(ids) or np.any(values < 0):
-            _raise_first_bad_record(fh)
-        blocks = np.split(values, starts[1:])
-        return Dataset(tuple(_sequence(i, v) for i, v in zip(ids, blocks)))
 
 
 def _skip_csv_header(fh) -> None:
@@ -187,8 +186,8 @@ def _csv_runs(fh) -> tuple[np.ndarray, list[str], np.ndarray]:
 
 
 def _raise_first_bad_record(fh) -> None:
-    """Name the first record the vectorized read rejected, row by row; rows are
-    CSV records numbered from the header as row 1, blank records included."""
+    """Name the first record that breaks a record rule (2 columns, contiguous ids, a
+    finite nonnegative number); rows count from the header as row 1, blank ones too."""
     fh.seek(0)
     _skip_csv_header(fh)
     seen: set[str] = set()
@@ -213,6 +212,9 @@ def _raise_first_bad_record(fh) -> None:
         if value < 0:
             raise DataFormatError(
                 f"row {row_no}: negative CCD value for id {reprlib.repr(seq_id)}")
+        if not math.isfinite(value):
+            raise DataFormatError(
+                f"row {row_no}: non-finite CCD value for id {reprlib.repr(seq_id)}")
 
 
 def _number(text: str) -> float:

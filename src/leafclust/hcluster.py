@@ -14,10 +14,10 @@ minimal height the one with the smallest (smaller id, larger id) node ids
 merges, so runs are reproducible.
 
 Every tree product reads one pass over the merges, ``_layout``: each merge
-puts the child holding the smaller leaf first and links that child's last
-leaf to the other's first, so a node's leaves run along the links from its
-first (smallest) leaf to its last.  ``leaf_order`` and ``cut`` walk them;
-``to_newick`` and ``svgplot.plot_dendrogram`` take the ordered children.
+puts the child holding the smaller leaf first, so a node's leaves are one
+run of the leaf order, from its first (smallest) leaf to its last.
+``leaf_order`` returns that order and ``cut`` slices it; ``to_newick`` and
+``svgplot.plot_dendrogram`` take the ordered children and the node heights.
 """
 
 from __future__ import annotations
@@ -123,9 +123,8 @@ def agglomerate(dm: DistanceMatrix, linkage: Linkage = Linkage.COMPLETE) -> Dend
     for k in range(m, 1, -1):
         active = heights[:k, :k]
         height = active.min()
+        # ``heights`` is symmetric: a tied pair is found as (a, b) and (b, a), one key.
         rows, cols = np.nonzero(active == height)
-        upper = rows < cols
-        rows, cols = rows[upper], cols[upper]
         lo = np.minimum(ids[rows], ids[cols])
         hi = np.maximum(ids[rows], ids[cols])
         best = np.argmin(lo * (2 * m) + hi)
@@ -159,8 +158,8 @@ def agglomerate(dm: DistanceMatrix, linkage: Linkage = Linkage.COMPLETE) -> Dend
 
 
 def _layout(dend: Dendrogram):
-    """Each merge's (left, right) children, each node's first and last leaf,
-    and each leaf's successor (None for the last) in the layout."""
+    """Each merge's (left, right) children, each node's height (0 for a leaf)
+    and first and last leaf, and the leaves in layout order."""
     m = dend.n_leaves
     first, last, successor = list(range(m)), list(range(m)), [None] * m
     children = []
@@ -170,7 +169,10 @@ def _layout(dend: Dendrogram):
         successor[last[left]] = first[right]
         first.append(first[left])
         last.append(last[right])
-    return children, first, last, successor
+    order = [first[-1]]
+    while successor[order[-1]] is not None:
+        order.append(successor[order[-1]])
+    return children, [0.0] * m + [mg.height for mg in dend.merges], first, last, order
 
 
 def cut(dend: Dendrogram, k: int) -> list[int]:
@@ -183,7 +185,8 @@ def cut(dend: Dendrogram, k: int) -> list[int]:
     m = dend.n_leaves
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    _, first, last, successor = _layout(dend)
+    _, _, first, last, order = _layout(dend)
+    slot = {leaf: i for i, leaf in enumerate(order)}
     # After the first m-k merges the clusters are the nodes below 2m-k
     # that none of those merges consumed.
     consumed = {child for mg in dend.merges[: m - k] for child in (mg.left, mg.right)}
@@ -191,21 +194,14 @@ def cut(dend: Dendrogram, k: int) -> list[int]:
                    key=first.__getitem__)
     assignment = [0] * m
     for cluster_id, node in enumerate(roots):
-        leaf = first[node]
-        assignment[leaf] = cluster_id
-        while leaf != last[node]:
-            leaf = successor[leaf]
+        for leaf in order[slot[first[node]]:slot[last[node]] + 1]:
             assignment[leaf] = cluster_id
     return assignment
 
 
 def leaf_order(dend: Dendrogram) -> list[int]:
     """Left-to-right leaf indices of the deterministic tree layout."""
-    _, first, _, successor = _layout(dend)
-    order = [first[-1]]
-    while successor[order[-1]] is not None:
-        order.append(successor[order[-1]])
-    return order
+    return _layout(dend)[4]
 
 
 def _format_length(x: float) -> str:
@@ -221,9 +217,9 @@ def to_newick(dend: Dendrogram) -> str:
     smallest contained leaf index, so output is deterministic.
     """
     m = dend.n_leaves
-    heights = [0.0] * m + [mg.height for mg in dend.merges]
+    children, heights, *_ = _layout(dend)
     texts = {leaf: _escape_label(label) for leaf, label in enumerate(dend.labels)}
-    for node, (left, right) in enumerate(_layout(dend)[0], m):
+    for node, (left, right) in enumerate(children, m):
         texts[node] = (f"({texts.pop(left)}:{_format_length(heights[node] - heights[left])},"
                        f"{texts.pop(right)}:{_format_length(heights[node] - heights[right])})")
     return texts[2 * m - 2] + ";"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dataio import write_text
 from .density import TWO_PI, LeafOutline, StepDensity
-from .hcluster import Dendrogram, _format_length as _num, _layout, leaf_order
+from .hcluster import Dendrogram, _format_length as _num, _layout
 
 __all__ = ["plot_densities", "plot_leaves", "plot_dendrogram"]
 
@@ -110,20 +110,16 @@ class SvgCanvas:
         return head + "\n".join(self.elements) + "\n</svg>\n"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+def _nice_ticks(top: float) -> list[float]:
+    """Ticks 0, step, 2*step, ... up to ``top`` > 0, where step is the smallest
+    1, 2 or 5 times a power of ten that gives at most 5 intervals."""
+    mag = 10.0 ** math.floor(math.log10(top / 5))
     step = 10 * mag
     for mult in (1.0, 2.0, 5.0):
-        if span / (mult * mag) <= target:
+        if top / (mult * mag) <= 5:
             step = mult * mag
             break
-    first = math.ceil(lo / step - 1e-9)
-    last = math.floor(hi / step + 1e-9)
-    return [k * step for k in range(first, last + 1)]
+    return [k * step for k in range(math.floor(top / step + 1e-9) + 1)]
 
 
 def _axis_top(values) -> float:
@@ -172,7 +168,7 @@ def plot_densities(densities, path, groups: dict[str, str] | None = None,
     for t, label in _PI_TICKS:
         canvas.line(px(t), mt + ph, px(t), mt + ph + 4)
         canvas.text(px(t), mt + ph + 16, label, anchor="middle")
-    for tick in _nice_ticks(0.0, ymax):
+    for tick in _nice_ticks(ymax):
         canvas.line(ml - 4, py(tick), ml, py(tick))
         canvas.text(ml - 7, py(tick) + 4, f"{tick:g}", anchor="end")
     canvas.text(ml + pw / 2, height - 6, "angle (radians)", anchor="middle")
@@ -229,7 +225,7 @@ def plot_dendrogram(dend: Dendrogram, path, title: str = "") -> None:
     ``y`` values appearing in the path data are the merge heights verbatim.
     """
     m = dend.n_leaves
-    order = leaf_order(dend)
+    children, heights, _, _, order = _layout(dend)
     width = max(420.0, 44.0 * m + 90.0)
     height = 420.0
     ml, mr, mt, mb = 62.0, 20.0, 28.0, 86.0
@@ -246,8 +242,7 @@ def plot_dendrogram(dend: Dendrogram, path, title: str = "") -> None:
     xpos = [0.0] * (2 * m - 1)
     for slot, leaf in enumerate(order):
         xpos[leaf] = slot + 0.5
-    heights = [0.0] * m + [mg.height for mg in dend.merges]
-    for node, (left, right) in enumerate(_layout(dend)[0], m):
+    for node, (left, right) in enumerate(children, m):
         xl, xr, y = xpos[left], xpos[right], heights[node]
         xpos[node] = (xl + xr) / 2
         canvas.add(
@@ -259,7 +254,7 @@ def plot_dendrogram(dend: Dendrogram, path, title: str = "") -> None:
     canvas.add("</g>")
     # y axis in pixel space
     canvas.line(ml, mt, ml, mt + ph)
-    for tick in _nice_ticks(0.0, top):
+    for tick in _nice_ticks(top):
         ypix = mt + ph - tick * sy
         canvas.line(ml - 4, ypix, ml, ypix)
         canvas.text(ml - 7, ypix + 4, f"{tick:g}", anchor="end")

@@ -556,6 +556,10 @@ def read_dataset_csv_rows(path, number=float) -> Dataset:
                 raise DataFormatError(
                     f"{path}: row {row_no}: negative CCD value for id {reprlib.repr(seq_id)}"
                 )
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{path}: row {row_no}: non-finite CCD value for id {reprlib.repr(seq_id)}"
+                )
             values[seq_id].append(value)
     try:
         return Dataset(tuple(CcdSequence(seq_id, values[seq_id]) for seq_id in order))

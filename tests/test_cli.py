@@ -191,7 +191,7 @@ def _case(stage, code, argv, broken=None, name=None, config=None, says=""):
     ``argv`` has {d} for the data directory; ``broken`` names a function the
     CLI calls that is replaced by one raising InvalidCcdError; ``config`` is
     the text of {d}/run.cfg; ``says`` is how the error line goes on after
-    the stage.
+    the stage, with {d} for the data directory.
     """
     return pytest.param(stage, code, argv, broken, config, says, id=name or stage)
 
@@ -267,6 +267,21 @@ EXIT_CODES = [
     _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
                                 "--dendrogram {d}/bad_size.json --outdir {d}/out",
           name="read-dendrogram-sizes-do-not-add-up"),
+    _case("read-dendrogram", 1, "plot --input {d}/four.json --format json "
+                                "--dendrogram {d}/neg_height.json --outdir {d}/out",
+          name="read-dendrogram-negative-height",
+          says="{d}/neg_height.json: bad dendrogram schema: merge 0: negative height"),
+    _case("read-dataset", 1, "densify --input {d}/nan.csv --outdir {d}/out",
+          name="read-dataset-csv-nan",
+          says="{d}/nan.csv: row 3: non-finite CCD value for id 'a'"),
+    _case("read-dataset", 1, "densify --input {d}/nan.json --format json --outdir {d}/out",
+          name="read-dataset-json-nan", says="{d}/nan.json: sequence 'a': non-finite value"),
+    _case("read-dataset", 1, "densify --input {d}/nested.json --format json --outdir {d}/out",
+          name="read-dataset-json-two-dimensional",
+          says="{d}/nested.json: sequence 'a': values must be one-dimensional"),
+    _case("read-matrix", 1, "cluster --input {d}/wide.json --format json --outdir {d}/out",
+          name="read-matrix-entries-wider-than-labels",
+          says="{d}/wide.json: bad matrix schema: entries must be 2x2"),
     _case("synth", 1, "synth --n-min 50 --n-max 10 --output {d}/s.json"),
     _case("synth", 1, "synth --groups 1 --per-group 2 --n-min 10 --n-max 20 --noise nan "
                       "--output {d}/s.json", name="synth-noise-nan"),
@@ -309,13 +324,14 @@ def test_stage_failures_map_to_exit_codes(stage, code, argv, broken, config, say
     _write_long_field_inputs(d)
     _write_bad_dendrograms(d)
     _write_mistyped_json_inputs(d)
+    _write_bad_value_inputs(d)
     if broken is not None:
         monkeypatch.setattr(cli, broken, _fail)
     if config is not None:
         (d / "run.cfg").write_text(config + "\n")
     before = sorted(d.rglob("*"))
     assert main(argv.format(d=d).split()) == code
-    assert f"leafclust: error [{stage}] {says}" in capsys.readouterr().err
+    assert f"leafclust: error [{stage}] {says.format(d=d)}" in capsys.readouterr().err
     if stage in ("config", "write", "read-dataset", "read-densities", "read-matrix",
                  "read-dendrogram"):
         assert sorted(d.rglob("*")) == before
@@ -367,6 +383,23 @@ def _write_mistyped_json_inputs(d):
     (d / "order.json").write_text(json.dumps({
         "labels": ["a", "b"], "kind": {"tag": "moments", "moment_order": 1001},
         "entries": [[0, 1], [1, 0]]}))
+
+
+def _write_bad_value_inputs(d):
+    """Inputs a reader rejects for a value: ``nan.csv`` and ``nan.json``, traces
+    holding NaN, ``nested.json``, a trace of pairs, ``wide.json``, a matrix of 2
+    labels and 3 x 3 entries, and ``neg_height.json``, a dendrogram of four.json
+    whose first merge height is negative."""
+    (d / "nan.csv").write_text("id,value\na,1\na,nan\nb,2\nb,3\n")
+    (d / "nan.json").write_text('{"a": [1, NaN, 2], "b": [1, 2]}')
+    (d / "nested.json").write_text('{"a": [[1, 2], [3, 4]], "b": [1, 2]}')
+    (d / "wide.json").write_text(json.dumps({
+        "labels": ["a", "b"], "kind": {"tag": "l1", "moment_order": 0},
+        "entries": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
+    merges = [(0, 1, -1.0, 2), (2, 3, 2.0, 2), (4, 5, 3.0, 4)]
+    (d / "neg_height.json").write_text(json.dumps({
+        "labels": ["s0", "s1", "s2", "s3"],
+        "merges": [dict(zip(("left", "right", "height", "size"), m)) for m in merges]}))
 
 
 def _duplicate_density_id(path):
